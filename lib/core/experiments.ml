@@ -858,8 +858,8 @@ let exp_a ?(quick = false) ppf =
     Traffic.bernoulli_schedule rng pattern ~coords:mesh2 ~rate:0.08 ~length:5 ~horizon
   in
   let delivered =
-    match Adaptive_engine.run duato sched with
-    | Adaptive_engine.All_delivered { finished_at; messages } ->
+    match Engine.run_adaptive duato sched with
+    | Engine.All_delivered { finished_at; messages } ->
       Format.fprintf ppf "stress: %d messages delivered by cycle %d@\n"
         (List.length messages) finished_at;
       true

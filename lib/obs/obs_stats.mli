@@ -3,7 +3,7 @@
     The event bus ({!Obs}) materializes one structured event per phenomenon,
     which is exactly what the zero-allocation kernel was built to avoid
     paying for.  This module is the cheap alternative: a preallocated
-    accumulator of flat int arrays that {!Switch_core.run} writes into with
+    accumulator of flat int arrays that [Engine.run] writes into with
     plain stores — per-channel busy/owned/acquisition/wait counters,
     head-of-line blocking attribution, a fixed-bucket latency histogram, and
     per-phase work counters.  The steady cycle stays allocation-free with

@@ -1,10 +1,7 @@
-(* ASCII channel-occupancy timeline reconstructed from the event stream.
-
-   Same visual language as Trace.render (one row per channel, one column
-   per cycle, first letter of the owning label, uppercase when more than
-   one flit queues, '.' when free) but built from Obs events instead of
-   engine snapshots, so it works wherever a recorder ran -- no ?probe
-   plumbing.
+(* ASCII channel-occupancy timeline reconstructed from the event stream:
+   one row per channel, one column per cycle, first letter of the owning
+   label, uppercase when more than one flit queues, '.' when free.  Built
+   from Obs events, so it works wherever a recorder ran.
 
    Reconstruction: Channel_acquire/Channel_release bound ownership; Flit
    events move flit counts.  A Hop/Cascade into channel [c] removes a flit

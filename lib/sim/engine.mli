@@ -1,9 +1,5 @@
-(** Cycle-accurate flit-level wormhole simulation with oblivious routing.
-
-    This is a thin facade over {!Switch_core}, the single switching kernel
-    shared with {!Adaptive_engine}; every type here is an equation on the
-    kernel's, so [Engine.outcome] and [Switch_core.outcome] interconvert
-    freely.  The model (Section 3 of the paper):
+(** Cycle-accurate flit-level wormhole simulation: the single switching
+    kernel.  The model (Section 3 of the paper):
 
     - each unidirectional channel has a FIFO flit queue of configurable
       capacity (default one flit) with {e atomic buffer allocation}
@@ -27,24 +23,55 @@
     - per-message adversarial holds realize the bounded clock skew /
       prolonged-delay discussion of Sections 3 and 6.
 
-    Because routing is oblivious and the engine deterministic, a run is a
-    pure function of (routing, schedule, config). *)
+    Two entry points differ only in how the header selects its next
+    channel:
 
-type arbitration = Switch_core.arbitration =
+    - {!run} ({e oblivious}): the path is fixed up front by the routing
+      function; the header waits for exactly that channel, and
+      wait-seniority arbitration awards each contended channel to the most
+      senior waiter (ties by the priority table);
+    - {!run_adaptive}: each cycle the header claims the first {e free}
+      channel among the routing function's permitted options, claimants
+      ordered by waiting time and then the priority table.  An oblivious
+      routing lifted with {!Adaptive.of_oblivious} is the singleton case
+      and behaves identically to {!run} (QCheck-checked in [test_qcheck]'s
+      differential suite).
+
+    Everything else -- fault application, watchdog/backoff recovery
+    (including [recovery.reroute], honored by both), online deadlock
+    detection ({!trigger} [Detect]), the sanitizer sweep (E101-E106), and
+    [Obs] emission -- is shared.  Mode-specific semantics kept
+    intentionally (see DESIGN.md section 12): adaptive runs ignore
+    per-message adversarial holds ([ms_holds]) and [config.discipline];
+    validation messages name the entry point the caller used; sanitizer
+    messages say "path position" (oblivious, fixed route) vs "hop"
+    (adaptive, carved route); adaptive reroute pins the remaining route,
+    making the message effectively oblivious for its retries.
+
+    Because the engine is deterministic, a run is a pure function of
+    (routing, schedule, config). *)
+
+type arbitration =
   | Fifo  (** earlier waiters first; same-cycle ties by schedule order *)
   | Priority of string list
       (** same-cycle ties broken by this label order (earlier = wins);
           labels absent from the list rank last, in schedule order *)
 
-type discipline = Switch_core.discipline =
+(** Switching discipline the flit-advance/acquire/release machinery runs
+    under (DESIGN.md section 17).  Oblivious mode only; adaptive runs
+    always switch wormhole. *)
+type discipline =
   | Wormhole
       (** flits advance as soon as possible; a blocked worm spans many
           channels (the paper's model) *)
   | Virtual_cut_through
-      (** headers advance as eagerly as wormhole, but every channel is
-          provisioned with a whole-packet buffer: a blocked message
-          compresses into its head channel and releases the upstream ones,
-          so only the channel under the header stays resource-locked *)
+      (** headers advance as eagerly as wormhole, but the per-channel
+          capacity column is provisioned for the longest scheduled packet:
+          a blocked message compresses into its head channel's buffer and
+          the release-after-tail pipeline then frees every upstream
+          channel, so only the channel under the header stays
+          resource-locked (cut-through = wormhole + whole-packet buffers
+          in this channel-queue model) *)
   | Store_and_forward
       (** the header may only advance once the whole packet is buffered in
           its current channel (requires [buffer_capacity] at least the
@@ -54,42 +81,36 @@ val discipline_string : discipline -> string
 (** ["wormhole"], ["virtual-cut-through"], ["store-and-forward"]. *)
 
 val discipline_of_string : string -> discipline option
-(** Inverse of {!discipline_string}; also accepts the short forms ["wh"],
-    ["vct"], ["saf"]. *)
+(** Inverse of {!discipline_string}; also accepts ["wh"], ["vct"],
+    ["saf"]. *)
 
 val set_discipline_override : discipline option -> unit
-(** Process-wide discipline override for matrix sweeps: while set, every
-    oblivious run switches under the given discipline regardless of its
-    [config.discipline] (adaptive runs always switch wormhole).  Under a
-    [Store_and_forward] override the effective buffer capacity is raised
-    to the longest scheduled message, so wormhole-provisioned campaigns
-    stay runnable.  [None] restores per-config behavior. *)
+(** Process-wide discipline override for matrix sweeps (CI, EXP-SW1):
+    while set, every oblivious run switches under the given discipline
+    regardless of its [config.discipline].  Under a [Store_and_forward]
+    override the effective buffer capacity is raised to the longest
+    scheduled message so wormhole-provisioned campaigns stay runnable;
+    an explicit SAF config still validates strictly.  [None] restores
+    per-config behavior.  Same process-wide-knob precedent as
+    {!Obs_stats.arm} and [Sanitizer.install]. *)
 
 val discipline_override : unit -> discipline option
 
-(** The Stramaglia-Keiren-Zantema deadlock taxonomy (arXiv 2101.06015);
-    see {!Obs_detect.deadlock_class} for the definitions.  Computed for
-    every [Deadlock] witness from the terminal wait-for/holds state:
-    [Weak] when the blocked set is acyclic (a drain order exists), else
-    [Local] when some message was delivered, else [Global]. *)
-type deadlock_class = Obs_detect.deadlock_class = Global | Local | Weak
-
-val deadlock_class_string : deadlock_class -> string
-(** ["global"], ["local"], ["weak"]. *)
-
-type trigger = Switch_core.trigger =
+type trigger =
   | Watchdog of int
       (** abort any message that goes this many cycles without progress
           (no flit moved, no channel acquired); >= 1.  Blunt: every
           member of a deadlock knot times out and is drained. *)
   | Detect of Obs_detect.config
-      (** online wait-for cycle detection over this run's event stream
-          ({!Obs_detect}): genuine knots are confirmed within
-          [bound] cycles of quiescence and only the policy-chosen victim
-          is aborted; [backstop] keeps a watchdog sweep alive for acyclic
-          wedges (fault-parked worms emit no wait cycle to detect) *)
+      (** online wait-for cycle detection: an {!Obs_detect.t} consumes
+          this run's event stream and confirms genuine knots within
+          [bound] cycles of quiescence; only the policy-chosen victim is
+          aborted, so the rest of the knot unwinds through the freed
+          channels.  [backstop] keeps a watchdog sweep alive for acyclic
+          wedges (e.g. a worm parked behind a failed link), which emit no
+          wait cycle to detect. *)
 
-type recovery = Switch_core.recovery = {
+type recovery = {
   trigger : trigger;
       (** what decides a message must be aborted; see {!trigger} *)
   retry_limit : int;
@@ -101,20 +122,21 @@ type recovery = Switch_core.recovery = {
       (** routing used to recompute an aborted message's path, typically a
           {!Routing.avoiding} wrapper around the failed channels that the
           caller has re-certified (see [Degrade.reroute]); [None] retries
-          on the original path *)
+          on the original path (oblivious) or with full adaptive freedom
+          (adaptive).  In adaptive mode the recomputed path is {e pinned}:
+          the retried header claims exactly the reroute's channels. *)
 }
 
 val default_recovery : recovery
 (** [Watchdog 64], retry_limit 4, backoff 8, no reroute. *)
 
-type config = Switch_core.config = {
+type config = {
   buffer_capacity : int;  (** flits per channel queue; >= 1 *)
   arbitration : arbitration;
   discipline : discipline;
-      (** switching discipline; [Virtual_cut_through] raises the
-          per-channel capacity to the longest scheduled packet ([Wormhole]
-          with [buffer_capacity >= max length] is equivalent; intermediate
-          capacities are the paper's "buffered wormhole") *)
+      (** switching discipline; [Wormhole] with [buffer_capacity >= max
+          length] behaves as [Virtual_cut_through], and intermediate
+          capacities are the paper's "buffered wormhole" *)
   max_cycles : int;  (** safety cutoff; runs are expected to finish earlier *)
   faults : Fault.plan;  (** injected failures/stalls/drops; default none *)
   recovery : recovery option;
@@ -127,41 +149,51 @@ type config = Switch_core.config = {
 val default_config : config
 (** capacity 1, FIFO, wormhole, 100_000 cycles, no faults, no recovery. *)
 
-type message_result = Switch_core.message_result = {
+type message_result = {
   r_label : string;
   r_injected_at : int option;  (** cycle the header entered the network *)
   r_delivered_at : int option;  (** cycle the tail flit was consumed *)
 }
 
-type blocked_info = Switch_core.blocked_info = {
+type blocked_info = {
   b_label : string;
   b_wants : Topology.channel list;
-      (** channels the header is blocked on: a singleton under oblivious
-          routing (the fixed route's next channel), the full option list
-          under adaptive routing *)
-  b_holder : string option;  (** owner of the first wanted channel, if any *)
+      (** channels the header is blocked on: a singleton in oblivious mode
+          (the fixed route's next channel), the full option list in
+          adaptive mode *)
+  b_holder : string option;
+      (** owner of the first wanted channel, if any *)
 }
 
-type deadlock_info = Switch_core.deadlock_info = {
+(** The Stramaglia-Keiren-Zantema taxonomy, re-exported from
+    {!Obs_detect.deadlock_class} (the dependency-order home shared with
+    the detector and the post-mortem). *)
+type deadlock_class = Obs_detect.deadlock_class = Global | Local | Weak
+
+val deadlock_class_string : deadlock_class -> string
+(** ["global"], ["local"], ["weak"]. *)
+
+type deadlock_info = {
   d_cycle : int;  (** cycle at which the state became permanently blocked *)
   d_class : deadlock_class;
-      (** global/local/weak classification of the terminal blocked state *)
+      (** classification of the terminal blocked state: [Weak] when
+          [d_wait_cycle] is empty (acyclic wedge -- a drain order exists;
+          only faults produce this), else [Local] when some message was
+          delivered, else [Global] (the paper's Deadlock) *)
   d_blocked : blocked_info list;
-  d_wait_cycle : string list;
-      (** labels of one cycle in the wait-for graph; empty exactly when
-          [d_class = Weak] (acyclic wedge, faults only) *)
+  d_wait_cycle : string list;  (** labels of one cycle in the wait-for graph *)
   d_occupancy : (Topology.channel * string * int) list;
       (** channel, owning message, buffered flit count *)
 }
 
-type fate = Switch_core.fate =
+type fate =
   | Delivered  (** reached its destination (possibly after retries) *)
   | Dropped  (** killed at the source by a {!Fault.Message_drop} with recovery off *)
   | Gave_up
       (** abandoned: retry cap exhausted, or no route around the failed
           channels exists *)
 
-type retry_stat = Switch_core.retry_stat = {
+type retry_stat = {
   t_label : string;
   t_retries : int;
       (** aborts (watchdog, drop, or deadlock victim) this message went
@@ -169,7 +201,7 @@ type retry_stat = Switch_core.retry_stat = {
   t_fate : fate;
 }
 
-type outcome = Switch_core.outcome =
+type outcome =
   | All_delivered of { finished_at : int; messages : message_result list }
   | Deadlock of deadlock_info
   | Cutoff of { at : int; messages : message_result list }
@@ -185,16 +217,17 @@ type outcome = Switch_core.outcome =
           is still returned when faults/recovery were configured but never
           fired. *)
 
-type snapshot = Switch_core.snapshot = {
+type snapshot = {
   s_cycle : int;
   s_occupancy : (Topology.channel * string * int) list;
       (** channel, owning message, buffered flits (only non-empty queues) *)
   s_waiting : (string * Topology.channel * string option) list;
-      (** blocked message, wanted channel, current holder *)
+      (** blocked message, wanted channel (first option when adaptive),
+          current holder *)
   s_moved : bool;  (** something advanced this cycle *)
 }
-(** The observable network state at the end of one cycle, for probes:
-    wait-for-graph analysis (Dally-Aoki), tracing, invariant checking. *)
+(** The observable network state at the end of one cycle, as passed to a
+    [?probe]. *)
 
 val run :
   ?config:config ->
@@ -205,54 +238,113 @@ val run :
   Routing.t ->
   Schedule.t ->
   outcome
-(** [run rt sched] is [Switch_core.run (Oblivious rt) sched]: simulate until
+(** [run rt sched] simulates [sched] under the oblivious routing [rt] until
     every message is delivered (or, under faults/recovery, dropped or
     abandoned), the network is permanently blocked, or the cycle cutoff
     fires.
 
-    [stats] accumulates counters-first telemetry (channel utilization,
-    latency histogram, blocking attribution, phase work) into a
-    preallocated {!Obs_stats.t} with plain int stores; see
-    {!Switch_core.run} for the arming and determinism contract.
+    [probe] is called with the network {!snapshot} at the end of every
+    cycle.  It is pure observation; the kernel pin digest ([test_kernel])
+    and the probe tests in [test_extensions] rely on it.  Prefer an
+    [Obs.recorder] sink plus [Obs.Timeline.render] for timelines.
+
+    [stats] accumulates counters-first telemetry into a preallocated
+    {!Obs_stats.t} (per-channel utilization and blocking, latency histogram,
+    per-phase work) with plain int stores -- the steady cycle allocates
+    nothing even with stats on.  Without [stats], a process armed via
+    {!Obs_stats.arm} gets a private per-run accumulator whose scalar totals
+    fold into {!Obs_stats.armed_totals}; otherwise the stats path costs one
+    atomic read per run.  Like [obs], stats are pure observation.
+    @raise Invalid_argument when [stats] is sized for a different channel
+    count than the routing's topology.
 
     [obs] attaches a structured-event sink for this run (falling back to the
     process-wide {!Obs.install}ed one): run start/end, channel
     acquire/release, wait-for edge add/drop, flit movements, deliveries,
-    aborts/retries, and fault firings.  Emission is pure observation — the
-    run takes identical decisions with any sink attached — and with no sink
-    the event path costs one atomic read per run.
+    aborts/retries, and fault firings; the [Run_start] event reports the
+    engine as ["oblivious"].  With no sink the event path costs one atomic
+    read per run.
 
-    [sanitizer] arms per-cycle invariant checking (flit conservation, buffer
-    atomicity, the flit window, wait-for consistency, recovery monotonicity,
-    wait-edge/hold consistency -- codes E101-E106); when omitted, the
-    process-wide sanitizer installed via {!Sanitizer.install} (or the
-    [WORMHOLE_SANITIZE] environment variable) is used if any.  Sanitizing
-    never changes the run's decisions.
+    [sanitizer] arms the per-cycle invariant sweep (flit conservation,
+    buffer atomicity, the flit window, wait-for consistency, recovery
+    monotonicity, wait-edge/hold consistency -- codes E101-E106), falling
+    back to the process-wide sanitizer installed via {!Sanitizer.install}
+    (or the [WORMHOLE_SANITIZE] environment variable).
+
+    [obs], [stats] and [sanitizer] are pure observation: the run takes
+    identical decisions with any of them attached.  A [Detect] recovery
+    trigger is different: the detector is part of the engine's semantics,
+    so it is fed the event stream unconditionally (event construction is
+    forced for the run even with no sink installed).
 
     Fault semantics: a channel that is down ({!Fault.down}) accepts no new
-    acquisition and moves no flits in or out; a permanently failed channel
-    therefore wedges any message still holding it until the watchdog (or,
-    under a [Detect] trigger, the backstop or the detector's victim choice)
-    aborts it.  Aborting releases and drains every channel the message
-    holds, then re-injects it after exponential backoff -- along
-    [recovery.reroute] if provided -- up to [retry_limit] times.  With [recovery = None] fault-
-    blocked traffic is reported as [Deadlock] (permanently blocked), exactly
-    like a protocol deadlock, and existing witnesses are unchanged.
+    acquisition and moves no flits in or out; a header waits for its (down)
+    fixed channel, keeping its seniority.  The watchdog (or, under
+    [Detect], the backstop and the detector's victim choice) aborts wedged
+    messages; aborting releases and drains every held channel, then
+    re-injects after exponential backoff -- along [recovery.reroute] if
+    provided -- up to [retry_limit] times.  Detection emits
+    [Deadlock_detected] / [Victim_aborted] events, and victim aborts carry
+    reason ["deadlock"].  With [recovery = None] fault-blocked traffic is
+    reported as [Deadlock] (permanently blocked), exactly like a protocol
+    deadlock.
 
-    @raise Invalid_argument when {!Schedule.validate} rejects the schedule
-    or the config is malformed (including a [recovery.reroute] built on a
-    different topology). *)
+    @raise Invalid_argument (prefixed ["Engine.run: "]) when
+    {!Schedule.validate} rejects the schedule or the config is malformed
+    (including a [recovery.reroute] built on a different topology). *)
+
+val run_adaptive :
+  ?config:config ->
+  ?probe:(snapshot -> unit) ->
+  ?sanitizer:Sanitizer.t ->
+  ?obs:Obs.sink ->
+  ?stats:Obs_stats.t ->
+  Adaptive.t ->
+  Schedule.t ->
+  outcome
+(** [run_adaptive ad sched] is {!run} with the header choosing dynamically
+    among [ad]'s permitted output channels; data flits follow the path the
+    header actually took.  Deadlock witnesses carry the same
+    {!deadlock_info}, with [b_wants] listing the full option set the header
+    was blocked on.  Restricted to adaptive functions whose choices never
+    revisit a channel (every minimal algorithm qualifies);
+    {!Adaptive.validate} should be checked beforehand.
+
+    Every optional argument behaves as in {!run}, except that [Run_start]
+    reports the engine as ["adaptive"], and a blocked header's wait-for
+    edge (and its [stats] wait/HoL attribution) follows its first
+    (preferred) option.
+
+    Faults: a header is simply never offered a down option, so adaptive
+    routing steers around faults even without a reroute function.  When
+    [config.recovery.reroute] {e is} provided, an aborted message's
+    recomputed path is pinned: the retried header claims exactly the
+    reroute's channels (it no longer explores).  Wormlint's W044 flags
+    configurations that set a reroute expecting it to be ignored.
+
+    [config.discipline] and per-message adversarial holds ([ms_holds]) are
+    ignored: adaptive runs always switch wormhole.
+
+    @raise Invalid_argument (prefixed ["Engine.run_adaptive: "]) on
+    malformed schedules or configs. *)
 
 val is_deadlock : outcome -> bool
 
+val outcome_string : outcome -> string
+(** Stable one-word form: ["all-delivered"], ["deadlock"], ["cutoff"] or
+    ["recovered"] (matches [Obs_event.Run_end]). *)
+
+val pp_fate : Format.formatter -> fate -> unit
+
+val pp_outcome : Topology.t -> Format.formatter -> outcome -> unit
+(** Singleton [b_wants] entries render as ["m waits for c held by h"]
+    (the oblivious witness format, unchanged); multi-option entries as
+    ["m blocked on {c1, c2}"]. *)
+
 val run_count : unit -> int
 (** Total simulation runs started in this process (atomic: includes runs on
-    helper domains, and the adaptive engine's runs).  Used for runs/sec
+    helper domains, and {!run_adaptive}'s runs).  Used for runs/sec
     throughput reporting in the campaign timing table. *)
-
-val note_run_started : unit -> unit
-(** Count one run towards {!run_count}.  Called by the kernel itself;
-    exposed for engines layered on top of it. *)
 
 val cancelled_count : unit -> int
 (** Runs whose results a parallel sweep discarded as cancelled speculative
@@ -263,10 +355,3 @@ val cancelled_count : unit -> int
 val note_runs_cancelled : int -> unit
 (** Report [n] runs as cancelled speculative work.  Called by the search
     layer after each sweep's canonical reduce. *)
-
-val outcome_string : outcome -> string
-(** Stable one-word form: ["all-delivered"], ["deadlock"], ["cutoff"] or
-    ["recovered"] (matches [Obs_event.Run_end]). *)
-
-val pp_fate : Format.formatter -> fate -> unit
-val pp_outcome : Topology.t -> Format.formatter -> outcome -> unit

@@ -70,6 +70,11 @@ let neighbor coords =
     coords
 
 let bernoulli_schedule rng pattern ~coords ~rate ~length ~horizon =
+  (* written so that NaN fails too *)
+  if not (rate >= 0.0 && rate <= 1.0) then
+    invalid_arg (Printf.sprintf "Traffic.bernoulli_schedule: rate %g outside [0, 1]" rate);
+  if horizon < 0 then
+    invalid_arg (Printf.sprintf "Traffic.bernoulli_schedule: horizon %d < 0" horizon);
   let n = num_nodes coords in
   let sched = ref [] in
   let seq = Array.make n 0 in

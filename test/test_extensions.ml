@@ -1,6 +1,6 @@
 (* Tests for the extension modules: the message flow model (Section-2
-   discussion), packet wait-for graphs (Dally-Aoki), the Corollary-1
-   input-independence checker, and the engine probe. *)
+   discussion), the Corollary-1 input-independence checker, and the engine
+   probe. *)
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -53,50 +53,6 @@ let test_mfm_pp () =
   let s = Format.asprintf "%a" (Message_flow.pp (Routing.topology rt)) r in
   check cb "renders" true (String.length s > 20)
 
-(* ---- packet wait-for graph ---- *)
-
-let test_pwfg_acyclic_on_mesh () =
-  let coords = Builders.mesh [ 4; 4 ] in
-  let rt = Dimension_order.mesh coords in
-  let rng = Rng.create 21 in
-  let pattern = Traffic.uniform rng coords in
-  let sched =
-    Traffic.bernoulli_schedule rng pattern ~coords ~rate:0.05 ~length:4 ~horizon:100
-  in
-  let probe, first_cyclic = Pwfg.monitor () in
-  (match Engine.run ~probe rt sched with
-  | Engine.All_delivered _ -> ()
-  | _ -> Alcotest.fail "expected delivery");
-  check (Alcotest.option ci) "wait-for graph stays acyclic" None (first_cyclic ())
-
-let test_pwfg_cyclic_at_deadlock () =
-  let rt = Ring_routing.clockwise (Builders.ring ~unidirectional:true 4) in
-  let sched =
-    List.init 4 (fun i -> Schedule.message ~length:3 (Printf.sprintf "m%d" i) i ((i + 2) mod 4))
-  in
-  let probe, first_cyclic = Pwfg.monitor () in
-  match Engine.run ~probe rt sched with
-  | Engine.Deadlock d ->
-    (match first_cyclic () with
-    | Some t -> check cb "cycle appears no later than detection" true (t <= d.Engine.d_cycle)
-    | None -> Alcotest.fail "wait-for graph never became cyclic")
-  | _ -> Alcotest.fail "expected deadlock"
-
-let test_pwfg_of_snapshot () =
-  let snap =
-    {
-      Engine.s_cycle = 0;
-      s_occupancy = [];
-      s_waiting = [ ("a", 0, Some "b"); ("b", 1, Some "a"); ("c", 2, None) ];
-      s_moved = false;
-    }
-  in
-  let g = Pwfg.of_snapshot snap in
-  check ci "two edges" 2 (List.length g.Pwfg.edges);
-  check cb "cyclic" true g.Pwfg.cyclic;
-  let snap2 = { snap with Engine.s_waiting = [ ("a", 0, Some "b"); ("c", 2, Some "b") ] } in
-  check cb "chain acyclic" false (Pwfg.of_snapshot snap2).Pwfg.cyclic
-
 (* ---- input independence (Corollary 1) ---- *)
 
 let test_input_independent_xy () =
@@ -147,57 +103,6 @@ let test_probe_occupancy_consistent () =
   check cb "some flits in flight" true (!max_flits >= 1);
   check cb "bounded by length" true (!max_flits <= 4)
 
-(* ---- trace ---- *)
-
-let test_trace_collects_and_renders () =
-  let coords = Builders.mesh [ 3; 3 ] in
-  let rt = Dimension_order.mesh coords in
-  let get, probe = Trace.collector () in
-  (match Engine.run ~probe rt [ Schedule.message ~length:3 "a" 0 8 ] with
-  | Engine.All_delivered { finished_at; _ } ->
-    let trace = get () in
-    check ci "one snapshot per cycle" (finished_at + 1) (List.length trace);
-    let s = Trace.render coords.Builders.topo trace in
-    check cb "renders rows" true (String.length s > 80);
-    (* the first channel of the path appears in the rendering *)
-    let first = List.hd (Routing.path_exn rt 0 8) in
-    let name = Topology.channel_name coords.Builders.topo first in
-    let contains needle hay =
-      let nl = String.length needle and hl = String.length hay in
-      let rec scan i = i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1)) in
-      scan 0
-    in
-    check cb "mentions first channel" true (contains name s)
-  | _ -> Alcotest.fail "expected delivery")
-
-let test_trace_occupancy_of () =
-  let coords = Builders.mesh [ 3; 3 ] in
-  let rt = Dimension_order.mesh coords in
-  let get, probe = Trace.collector () in
-  ignore (Engine.run ~probe rt [ Schedule.message ~length:4 "a" 0 8 ]);
-  let first = List.hd (Routing.path_exn rt 0 8) in
-  let hist = Trace.occupancy_of (get ()) first in
-  check cb "occupied for length cycles" true (List.length hist >= 4);
-  List.iter (fun (_, owner, n) ->
-      check Alcotest.string "owner" "a" owner;
-      check cb "capacity respected" true (n = 1))
-    hist
-
-let test_trace_truncation () =
-  let coords = Builders.mesh [ 3; 3 ] in
-  let rt = Dimension_order.mesh coords in
-  let get, probe = Trace.collector () in
-  ignore (Engine.run ~probe rt [ Schedule.message ~length:30 "a" 0 8 ]);
-  let trace = get () in
-  let s = Trace.render ~max_cycles:5 coords.Builders.topo trace in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec scan i = i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1)) in
-    scan 0
-  in
-  check cb "notes exact truncated cycle count" true
-    (contains (Printf.sprintf "… +%d cycles" (List.length trace - 5)) s)
-
 let () =
   Alcotest.run "extensions"
     [
@@ -210,12 +115,6 @@ let () =
           Alcotest.test_case "used flags" `Quick test_mfm_used_flags;
           Alcotest.test_case "pp" `Quick test_mfm_pp;
         ] );
-      ( "pwfg",
-        [
-          Alcotest.test_case "acyclic on mesh traffic" `Quick test_pwfg_acyclic_on_mesh;
-          Alcotest.test_case "cyclic at deadlock" `Quick test_pwfg_cyclic_at_deadlock;
-          Alcotest.test_case "of_snapshot" `Quick test_pwfg_of_snapshot;
-        ] );
       ( "input_independence",
         [
           Alcotest.test_case "xy independent" `Quick test_input_independent_xy;
@@ -227,11 +126,5 @@ let () =
         [
           Alcotest.test_case "every cycle" `Quick test_probe_sees_every_cycle;
           Alcotest.test_case "occupancy consistent" `Quick test_probe_occupancy_consistent;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "collect and render" `Quick test_trace_collects_and_renders;
-          Alcotest.test_case "occupancy_of" `Quick test_trace_occupancy_of;
-          Alcotest.test_case "truncation" `Quick test_trace_truncation;
         ] );
     ]

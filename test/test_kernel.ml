@@ -1,4 +1,4 @@
-(* Kernel-equivalence pins for the struct-of-arrays Switch_core (PR 8).
+(* Kernel-equivalence pins for the struct-of-arrays switching kernel.
 
    A deterministic matrix of seeded runs -- paper figure networks and
    mesh/torus substrates, oblivious and adaptive, with holds, priorities,
@@ -28,24 +28,24 @@ let digest_add d (s : string) =
      Hashtbl.hash on arbitrary structure *)
   String.iter (fun ch -> d := ((!d lsl 5) + !d + Char.code ch) land 0x3FFFFFFF) s
 
-let fp_messages (ms : Switch_core.message_result list) =
+let fp_messages (ms : Engine.message_result list) =
   String.concat ","
     (List.map
-       (fun (r : Switch_core.message_result) ->
+       (fun (r : Engine.message_result) ->
          Printf.sprintf "%s:%s:%s" r.r_label
            (match r.r_injected_at with Some t -> string_of_int t | None -> "-")
            (match r.r_delivered_at with Some t -> string_of_int t | None -> "-"))
        ms)
 
-let fp_stats (ss : Switch_core.retry_stat list) =
+let fp_stats (ss : Engine.retry_stat list) =
   String.concat ","
     (List.map
-       (fun (s : Switch_core.retry_stat) ->
+       (fun (s : Engine.retry_stat) ->
          Printf.sprintf "%s:%d:%s" s.t_label s.t_retries
            (match s.t_fate with
-           | Switch_core.Delivered -> "d"
-           | Switch_core.Dropped -> "x"
-           | Switch_core.Gave_up -> "g"))
+           | Engine.Delivered -> "d"
+           | Engine.Dropped -> "x"
+           | Engine.Gave_up -> "g"))
        ss)
 
 let fp_occupancy topo occ =
@@ -54,20 +54,20 @@ let fp_occupancy topo occ =
        (fun (c, l, n) -> Printf.sprintf "%s=%s*%d" (Topology.channel_name topo c) l n)
        occ)
 
-let fp_outcome topo (o : Switch_core.outcome) =
+let fp_outcome topo (o : Engine.outcome) =
   match o with
-  | Switch_core.All_delivered { finished_at; messages } ->
+  | Engine.All_delivered { finished_at; messages } ->
     Printf.sprintf "all-delivered@%d[%s]" finished_at (fp_messages messages)
-  | Switch_core.Cutoff { at; messages } ->
+  | Engine.Cutoff { at; messages } ->
     Printf.sprintf "cutoff@%d[%s]" at (fp_messages messages)
-  | Switch_core.Recovered { finished_at; messages; stats } ->
+  | Engine.Recovered { finished_at; messages; stats } ->
     Printf.sprintf "recovered@%d[%s][%s]" finished_at (fp_messages messages)
       (fp_stats stats)
-  | Switch_core.Deadlock d ->
+  | Engine.Deadlock d ->
     let blocked =
       String.concat ";"
         (List.map
-           (fun (b : Switch_core.blocked_info) ->
+           (fun (b : Engine.blocked_info) ->
              Printf.sprintf "%s>{%s}%s" b.b_label
                (String.concat "," (List.map (Topology.channel_name topo) b.b_wants))
                (match b.b_holder with Some h -> "@" ^ h | None -> ""))
@@ -78,9 +78,13 @@ let fp_outcome topo (o : Switch_core.outcome) =
       blocked
       (fp_occupancy topo d.d_occupancy)
 
-let run_fingerprint topo ?config policy sched =
+(* The two kernel entry points as runners for [run_fingerprint]. *)
+let oblivious rt ?config ~probe sched = Engine.run ?config ~probe rt sched
+let adaptive ad ?config ~probe sched = Engine.run_adaptive ?config ~probe ad sched
+
+let run_fingerprint topo ?config run sched =
   let snap = ref 5381 in
-  let probe (s : Switch_core.snapshot) =
+  let probe (s : Engine.snapshot) =
     digest_add snap (Printf.sprintf "#%d%b" s.s_cycle s.s_moved);
     digest_add snap (fp_occupancy topo s.s_occupancy);
     List.iter
@@ -90,7 +94,7 @@ let run_fingerprint topo ?config policy sched =
              (match h with Some x -> "@" ^ x | None -> "")))
       s.s_waiting
   in
-  let outcome = Switch_core.run ?config ~probe policy sched in
+  let outcome = run ?config ~probe sched in
   Printf.sprintf "%s snap=%08x" (fp_outcome topo outcome) !snap
 
 (* ---- the seeded case matrix ---- *)
@@ -131,12 +135,12 @@ let gen_config rng topo labels =
   let store_forward = Rng.int rng 5 = 0 in
   let buffer_capacity = if store_forward then 8 else 1 + Rng.int rng 2 in
   let arbitration =
-    if Rng.bool rng then Switch_core.Fifo
+    if Rng.bool rng then Engine.Fifo
     else begin
       let arr = Array.of_list labels in
       Rng.shuffle rng arr;
       let k = 1 + Rng.int rng (Array.length arr) in
-      Switch_core.Priority (Array.to_list (Array.sub arr 0 k))
+      Engine.Priority (Array.to_list (Array.sub arr 0 k))
     end
   in
   let faults =
@@ -150,7 +154,7 @@ let gen_config rng topo labels =
     if Rng.bool rng then
       Some
         {
-          Switch_core.trigger = Switch_core.Watchdog (16 + Rng.int rng 32);
+          Engine.trigger = Engine.Watchdog (16 + Rng.int rng 32);
           retry_limit = 1 + Rng.int rng 2;
           backoff = 2 + Rng.int rng 4;
           reroute = None;
@@ -158,10 +162,10 @@ let gen_config rng topo labels =
     else None
   in
   {
-    Switch_core.default_config with
+    Engine.default_config with
     buffer_capacity;
     arbitration;
-    discipline = (if store_forward then Switch_core.Store_and_forward else Switch_core.Wormhole);
+    discipline = (if store_forward then Engine.Store_and_forward else Engine.Wormhole);
     faults;
     recovery;
   }
@@ -186,9 +190,9 @@ let oblivious_family name base topo rt ~store_forward_ok ~seeds =
             let config = gen_config rng topo labels in
             let config =
               if store_forward_ok then config
-              else { config with discipline = Switch_core.Wormhole }
+              else { config with discipline = Engine.Wormhole }
             in
-            run_fingerprint topo ~config (Switch_core.Oblivious rt) sched);
+            run_fingerprint topo ~config (oblivious rt) sched);
       })
 
 let adaptive_family name base topo ad ~routable ~seeds =
@@ -203,8 +207,8 @@ let adaptive_family name base topo ad ~routable ~seeds =
             let config = gen_config rng topo labels in
             (* adaptive runs switch wormhole; SF is rejected only for
                oblivious, but keep the matrix uniform *)
-            let config = { config with discipline = Switch_core.Wormhole } in
-            run_fingerprint topo ~config (Switch_core.Adaptive ad) sched);
+            let config = { config with discipline = Engine.Wormhole } in
+            run_fingerprint topo ~config (adaptive ad) sched);
       })
 
 (* Discipline families (PR 10): the same seeded schedules re-run under
@@ -231,14 +235,14 @@ let discipline_family name base topo rt disc tag ~seeds =
             let config = gen_config rng topo labels in
             let buffer_capacity =
               match disc with
-              | Switch_core.Store_and_forward ->
+              | Engine.Store_and_forward ->
                 List.fold_left
                   (fun acc (m : Schedule.message_spec) -> max acc m.ms_length)
-                  config.Switch_core.buffer_capacity sched
-              | _ -> config.Switch_core.buffer_capacity
+                  config.Engine.buffer_capacity sched
+              | _ -> config.Engine.buffer_capacity
             in
-            let config = { config with Switch_core.discipline = disc; buffer_capacity } in
-            run_fingerprint topo ~config (Switch_core.Oblivious rt) sched);
+            let config = { config with Engine.discipline = disc; buffer_capacity } in
+            run_fingerprint topo ~config (oblivious rt) sched);
       })
 
 let mesh4 = Builders.mesh [ 4; 4 ]
@@ -271,7 +275,7 @@ let special_cases =
   [
     {
       id = "obl/mesh8x8-hotpath";
-      fp = (fun () -> run_fingerprint mesh8.Builders.topo (Switch_core.Oblivious mesh8_rt)
+      fp = (fun () -> run_fingerprint mesh8.Builders.topo (oblivious mesh8_rt)
                         (mesh8_schedule ()));
     };
     {
@@ -279,12 +283,12 @@ let special_cases =
       fp =
         (fun () ->
           run_fingerprint mesh8.Builders.topo
-            (Switch_core.Adaptive (Adaptive.of_oblivious mesh8_rt))
+            (adaptive (Adaptive.of_oblivious mesh8_rt))
             (mesh8_schedule ()));
     };
     {
       id = "obl/torus5-tornado-deadlock";
-      fp = (fun () -> run_fingerprint torus5.Builders.topo (Switch_core.Oblivious torus5_rt)
+      fp = (fun () -> run_fingerprint torus5.Builders.topo (oblivious torus5_rt)
                         (tornado5 ()));
     };
     {
@@ -292,9 +296,9 @@ let special_cases =
       fp =
         (fun () ->
           let config =
-            { Switch_core.default_config with discipline = Switch_core.Virtual_cut_through }
+            { Engine.default_config with discipline = Engine.Virtual_cut_through }
           in
-          run_fingerprint torus5.Builders.topo ~config (Switch_core.Oblivious torus5_rt)
+          run_fingerprint torus5.Builders.topo ~config (oblivious torus5_rt)
             (tornado5 ()));
     };
     {
@@ -303,12 +307,12 @@ let special_cases =
         (fun () ->
           let config =
             {
-              Switch_core.default_config with
-              discipline = Switch_core.Store_and_forward;
+              Engine.default_config with
+              discipline = Engine.Store_and_forward;
               buffer_capacity = 8;
             }
           in
-          run_fingerprint torus5.Builders.topo ~config (Switch_core.Oblivious torus5_rt)
+          run_fingerprint torus5.Builders.topo ~config (oblivious torus5_rt)
             (tornado5 ()));
     };
     {
@@ -317,16 +321,16 @@ let special_cases =
         (fun () ->
           let config =
             {
-              Switch_core.default_config with
+              Engine.default_config with
               recovery =
                 Some
                   {
-                    Switch_core.default_recovery with
-                    trigger = Switch_core.Detect Obs_detect.default_config;
+                    Engine.default_recovery with
+                    trigger = Engine.Detect Obs_detect.default_config;
                   };
             }
           in
-          run_fingerprint torus5.Builders.topo ~config (Switch_core.Oblivious torus5_rt)
+          run_fingerprint torus5.Builders.topo ~config (oblivious torus5_rt)
             (tornado5 ()));
     };
     {
@@ -334,9 +338,9 @@ let special_cases =
       fp =
         (fun () ->
           let config =
-            { Switch_core.default_config with recovery = Some Switch_core.default_recovery }
+            { Engine.default_config with recovery = Some Engine.default_recovery }
           in
-          run_fingerprint torus5.Builders.topo ~config (Switch_core.Oblivious torus5_rt)
+          run_fingerprint torus5.Builders.topo ~config (oblivious torus5_rt)
             (tornado5 ()));
     };
   ]
@@ -363,17 +367,17 @@ let cases =
         match Routing.path fig1_rt s d with Ok _ -> true | Error _ -> false)
       ~seeds:6
   @ discipline_family "figure2" 2 fig2.Paper_nets.topo fig2_rt
-      Switch_core.Virtual_cut_through "vct" ~seeds:4
+      Engine.Virtual_cut_through "vct" ~seeds:4
   @ discipline_family "figure2" 2 fig2.Paper_nets.topo fig2_rt
-      Switch_core.Store_and_forward "saf" ~seeds:4
+      Engine.Store_and_forward "saf" ~seeds:4
   @ discipline_family "mesh4x4" 4 mesh4.Builders.topo mesh4_rt
-      Switch_core.Virtual_cut_through "vct" ~seeds:4
+      Engine.Virtual_cut_through "vct" ~seeds:4
   @ discipline_family "mesh4x4" 4 mesh4.Builders.topo mesh4_rt
-      Switch_core.Store_and_forward "saf" ~seeds:4
+      Engine.Store_and_forward "saf" ~seeds:4
   @ discipline_family "torus4x4" 5 torus4.Builders.topo torus4_rt
-      Switch_core.Virtual_cut_through "vct" ~seeds:4
+      Engine.Virtual_cut_through "vct" ~seeds:4
   @ discipline_family "torus4x4" 5 torus4.Builders.topo torus4_rt
-      Switch_core.Store_and_forward "saf" ~seeds:4
+      Engine.Store_and_forward "saf" ~seeds:4
 
 (* ---- pins: load, compare, regenerate ---- *)
 
@@ -466,21 +470,21 @@ let long_sched () =
     Schedule.message ~length:8000 "w2" a d;
   ]
 
-let alloc_per_run policy =
+let alloc_per_run run =
   (* one warm-up run (fills any per-state memo tables), then measure *)
-  ignore (Switch_core.run policy (long_sched ()));
+  ignore (run (long_sched ()));
   let before = Gc.minor_words () in
-  let outcome = Switch_core.run policy (long_sched ()) in
+  let outcome = run (long_sched ()) in
   let delta = Gc.minor_words () -. before in
   (match outcome with
-  | Switch_core.All_delivered _ -> ()
-  | o -> Alcotest.failf "expected all-delivered, got %s" (Switch_core.outcome_string o));
+  | Engine.All_delivered _ -> ()
+  | o -> Alcotest.failf "expected all-delivered, got %s" (Engine.outcome_string o));
   delta
 
 let test_steady_cycle_allocation_oblivious () =
   if sanitize_on then ()
   else begin
-    let words = alloc_per_run (Switch_core.Oblivious line4_rt) in
+    let words = alloc_per_run (Engine.run line4_rt) in
     if words > 25_000.0 then
       Alcotest.failf "oblivious steady cycle allocates: %.0f minor words per ~16k-cycle run"
         words
@@ -490,7 +494,7 @@ let test_steady_cycle_allocation_adaptive () =
   if sanitize_on then ()
   else begin
     let ad = Adaptive.of_oblivious line4_rt in
-    let words = alloc_per_run (Switch_core.Adaptive ad) in
+    let words = alloc_per_run (Engine.run_adaptive ad) in
     if words > 25_000.0 then
       Alcotest.failf "adaptive steady cycle allocates: %.0f minor words per ~16k-cycle run"
         words

@@ -11,7 +11,8 @@
    - Deadlock post-mortem: the figure-2 knot names its channels, the
      expanded cycle is a genuine CDG cycle, and classification says
      Theorem-reachable; figure 1 has no knot.
-   - Trace truncation markers, pool claim coverage, the Obs pool bridge,
+   - Timeline rendering of a recorded event trace (rows, one column per
+     cycle, truncation markers), pool claim coverage, the Obs pool bridge,
      and exact cancelled-run accounting across domain counts. *)
 
 let check = Alcotest.check
@@ -110,9 +111,9 @@ let test_adaptive_sink_purity () =
   let sched =
     List.init 6 (fun i -> Schedule.message ~length:3 (Printf.sprintf "m%d" i) i ((i + 4) mod 9))
   in
-  let plain = Adaptive_engine.run ad sched in
+  let plain = Engine.run_adaptive ad sched in
   let sink, events = Obs.recorder () in
-  let observed = Adaptive_engine.run ~obs:sink ad sched in
+  let observed = Engine.run_adaptive ~obs:sink ad sched in
   check cb "adaptive outcome unchanged under observation" true (plain = observed);
   check cb "adaptive run emitted events" true (events () <> [])
 
@@ -340,22 +341,45 @@ let test_figure2_postmortem () =
         (List.exists (fun o -> o.Obs.Postmortem.oc_channel = wanted) pm.Obs.Postmortem.pm_occupancy))
     pm.Obs.Postmortem.pm_knot
 
-(* ---- trace truncation ---- *)
+(* ---- timeline rendering of a recorded event trace ---- *)
 
-let test_trace_truncation () =
-  let trace, probe = Trace.collector () in
-  let sched = [ Schedule.message ~length:6 "a" 0 8 ] in
-  (match Engine.run ~probe mesh3_rt sched with
-  | Engine.All_delivered _ -> ()
-  | _ -> Alcotest.fail "expected delivery");
-  let tr = trace () in
-  let cycles = List.length tr in
+(* One message from corner to corner of the 3x3 mesh under a recorder;
+   returns the run's cycle count (cycles 0 .. finished_at) and its events. *)
+let record_corner_run length =
+  let sink, events = Obs.recorder () in
+  match Engine.run ~obs:sink mesh3_rt [ Schedule.message ~length "a" 0 8 ] with
+  | Engine.All_delivered { finished_at; _ } -> (finished_at + 1, events ())
+  | _ -> Alcotest.fail "expected delivery"
+
+let test_timeline_collects_and_renders () =
+  let cycles, events = record_corner_run 3 in
+  let s = Obs.Timeline.render mesh3.Builders.topo events in
+  check cb "renders rows" true (String.length s > 80);
+  let rows = List.tl (String.split_on_char '\n' s) |> List.filter (( <> ) "") in
+  List.iter
+    (fun row ->
+      let cells = List.hd (List.rev (String.split_on_char ' ' row)) in
+      check ci "one column per cycle" cycles (String.length cells))
+    rows;
+  (* the first channel of the path appears in the rendering *)
+  let first = List.hd (Routing.path_exn mesh3_rt 0 8) in
+  check cb "mentions first channel" true
+    (contains s (Topology.channel_name mesh3.Builders.topo first))
+
+let test_timeline_truncation () =
+  let cycles, events = record_corner_run 30 in
+  let s = Obs.Timeline.render ~max_cycles:5 mesh3.Builders.topo events in
+  check cb "notes exact truncated cycle count" true
+    (contains s (Printf.sprintf "… +%d cycles" (cycles - 5)))
+
+let test_timeline_truncation_markers () =
+  let cycles, events = record_corner_run 6 in
   check cb "run long enough to truncate" true (cycles > 4);
-  let truncated = Trace.render ~max_cycles:4 mesh3.Builders.topo tr in
+  let truncated = Obs.Timeline.render ~max_cycles:4 mesh3.Builders.topo events in
   check cb "explicit cycle-count marker" true
     (contains truncated (Printf.sprintf "… +%d cycles" (cycles - 4)));
   check cb "rows are marked" true (contains truncated " …");
-  let full = Trace.render mesh3.Builders.topo tr in
+  let full = Obs.Timeline.render mesh3.Builders.topo events in
   check cb "no marker when untruncated" false (contains full "… +")
 
 (* ---- pool observation ---- *)
@@ -485,7 +509,11 @@ let () =
           Alcotest.test_case "post-mortem: knot + theorem" `Quick test_figure2_postmortem;
         ] );
       ( "trace",
-        [ Alcotest.test_case "truncation markers" `Quick test_trace_truncation ] );
+        [
+          Alcotest.test_case "collect and render" `Quick test_timeline_collects_and_renders;
+          Alcotest.test_case "truncation" `Quick test_timeline_truncation;
+          Alcotest.test_case "truncation markers" `Quick test_timeline_truncation_markers;
+        ] );
       ( "pool",
         [
           Alcotest.test_case "claims cover tasks" `Quick test_pool_claims_cover_tasks;

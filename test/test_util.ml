@@ -263,17 +263,6 @@ let test_table_errors () =
   Alcotest.check_raises "row length" (Invalid_argument "Table.add_row: row length") (fun () ->
       Table.add_row t [ "only-one" ])
 
-(* ---- Union_find ---- *)
-
-let test_union_find () =
-  let u = Union_find.create 10 in
-  check ci "initial sets" 10 (Union_find.count_sets u);
-  Union_find.union u 0 1;
-  Union_find.union u 1 2;
-  check cb "same" true (Union_find.same u 0 2);
-  check cb "diff" false (Union_find.same u 0 3);
-  check ci "sets after" 8 (Union_find.count_sets u)
-
 let () =
   Alcotest.run "util"
     [
@@ -325,5 +314,4 @@ let () =
           Alcotest.test_case "render/alignment" `Quick test_table_render;
           Alcotest.test_case "errors" `Quick test_table_errors;
         ] );
-      ("union_find", [ Alcotest.test_case "basic" `Quick test_union_find ]);
     ]

@@ -103,6 +103,12 @@ let test_bernoulli_rate_scales () =
   let low = count 0.01 and high = count 0.1 in
   check cb "more traffic at higher rate" true (high > 3 * low)
 
+let bernoulli_rejects label msg ~rate ~horizon () =
+  let rng = Rng.create 7 in
+  let p = Traffic.uniform rng mesh4 in
+  Alcotest.check_raises label (Invalid_argument ("Traffic.bernoulli_schedule: " ^ msg))
+    (fun () -> ignore (Traffic.bernoulli_schedule rng p ~coords:mesh4 ~rate ~length:1 ~horizon))
+
 let test_measure_delivery () =
   let rt = Dimension_order.mesh mesh4 in
   let sched = Traffic.permutation_schedule (Traffic.transpose mesh4) ~coords:mesh4 ~length:4 in
@@ -146,6 +152,14 @@ let () =
           Alcotest.test_case "permutation" `Quick test_permutation_schedule;
           Alcotest.test_case "bernoulli deterministic" `Quick test_bernoulli_schedule_deterministic;
           Alcotest.test_case "rate scales" `Quick test_bernoulli_rate_scales;
+          Alcotest.test_case "rate above 1 rejected" `Quick
+            (bernoulli_rejects "rate 1.5" "rate 1.5 outside [0, 1]" ~rate:1.5 ~horizon:10);
+          Alcotest.test_case "negative rate rejected" `Quick
+            (bernoulli_rejects "rate -1" "rate -1 outside [0, 1]" ~rate:(-1.0) ~horizon:10);
+          Alcotest.test_case "NaN rate rejected" `Quick
+            (bernoulli_rejects "rate nan" "rate nan outside [0, 1]" ~rate:Float.nan ~horizon:10);
+          Alcotest.test_case "negative horizon rejected" `Quick
+            (bernoulli_rejects "horizon -5" "horizon -5 < 0" ~rate:0.1 ~horizon:(-5));
         ] );
       ( "measure",
         [
