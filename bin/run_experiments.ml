@@ -3,168 +3,20 @@
    Usage: experiments [EXPERIMENT...] [--quick] [--max-p N] [--domains N]
                       [--json FILE]
 
-   With no arguments, runs the full suite.  The claim output is byte-
-   identical for any --domains value; the timing table at the end is the
-   only wall-clock-dependent section. *)
+   With no arguments, runs the full suite.  A timed loop fills one
+   Experiments.campaign record; every output renders from it.  The claim
+   output is byte-identical for any --domains value; the timing table and
+   the JSON are the only wall-clock-dependent outputs. *)
 
 open Cmdliner
 
-let known =
-  [
-    ("exp-f1", `F1);
-    ("exp-t2", `T2);
-    ("exp-corollaries", `C);
-    ("exp-t3", `T3);
-    ("exp-t4", `T4);
-    ("exp-t5", `T5);
-    ("exp-g", `G);
-    ("exp-s1", `S1);
-    ("exp-s2", `S2);
-    ("exp-mfm", `MFM);
-    ("exp-a", `A);
-    ("exp-sw", `SW);
-    ("exp-sw1", `SW1);
-    ("exp-mc", `MC);
-    ("exp-fault", `Fault);
-    ("exp-detect", `Detect);
-    ("exp-lint", `Lint);
-    ("exp-synth", `Synth);
-  ]
-
-let run_one ~quick ~max_p ~detect ppf = function
-  | `F1 -> Experiments.exp_f1 ~quick ppf
-  | `T2 -> Experiments.exp_t2 ~quick ppf
-  | `C -> Experiments.exp_corollaries ~quick ppf
-  | `T3 -> Experiments.exp_t3 ~quick ppf
-  | `T4 -> Experiments.exp_t4 ~quick ppf
-  | `T5 -> Experiments.exp_t5 ~quick ppf
-  | `G -> Experiments.exp_g ~quick ?max_p ppf
-  | `S1 -> Experiments.exp_s1 ~quick ppf
-  | `S2 -> Experiments.exp_s2 ~quick ppf
-  | `MFM -> Experiments.exp_mfm ~quick ppf
-  | `A -> Experiments.exp_a ~quick ppf
-  | `SW -> Experiments.exp_sw ~quick ppf
-  | `SW1 -> Experiments.exp_sw1 ~quick ppf
-  | `MC -> Experiments.exp_mc ~quick ppf
-  | `Fault -> Experiments.exp_fault ~quick ~detect ppf
-  | `Detect -> Experiments.exp_detect ~quick ppf
-  | `Lint -> Experiments.exp_lint ~quick ppf
-  | `Synth -> Experiments.exp_synth ~quick ppf
-
-type timing = {
-  tm_name : string;
-  tm_wall : float;  (* seconds *)
-  tm_runs : int;  (* engine runs started by this experiment *)
-  tm_cancelled : int;
-      (* of those, runs a parallel sweep started speculatively and then
-         discarded; tm_runs - tm_cancelled is the canonical tally, byte-
-         identical at any --domains *)
-}
-
-let runs_per_sec tm = if tm.tm_wall > 0. then float_of_int tm.tm_runs /. tm.tm_wall else 0.
-
-let timing_table timings =
-  let table =
-    Table.create
-      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
-      [ "experiment"; "wall (s)"; "engine runs"; "cancelled"; "runs/sec" ]
-  in
-  List.iter
-    (fun tm ->
-      Table.add_row table
-        [
-          tm.tm_name;
-          Printf.sprintf "%.2f" tm.tm_wall;
-          string_of_int tm.tm_runs;
-          string_of_int tm.tm_cancelled;
-          Printf.sprintf "%.0f" (runs_per_sec tm);
-        ])
-    timings;
-  let total_wall = List.fold_left (fun acc tm -> acc +. tm.tm_wall) 0. timings in
-  let total_runs = List.fold_left (fun acc tm -> acc + tm.tm_runs) 0 timings in
-  let total_cancelled = List.fold_left (fun acc tm -> acc + tm.tm_cancelled) 0 timings in
-  Table.add_row table
-    [
-      "total";
-      Printf.sprintf "%.2f" total_wall;
-      string_of_int total_runs;
-      string_of_int total_cancelled;
-      Printf.sprintf "%.0f"
-        (if total_wall > 0. then float_of_int total_runs /. total_wall else 0.);
-    ];
-  Table.render table
-
-let write_json path ~quick ~domains ~claims ~failed timings =
-  let buf = Buffer.create 1024 in
-  let total_wall = List.fold_left (fun acc tm -> acc +. tm.tm_wall) 0. timings in
-  let total_runs = List.fold_left (fun acc tm -> acc + tm.tm_runs) 0 timings in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"wormhole-campaign/1\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"domains\": %d,\n" domains);
-  Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" quick);
-  Buffer.add_string buf (Printf.sprintf "  \"claims\": %d,\n" claims);
-  Buffer.add_string buf (Printf.sprintf "  \"failed\": %d,\n" failed);
-  let total_cancelled = List.fold_left (fun acc tm -> acc + tm.tm_cancelled) 0 timings in
-  Buffer.add_string buf (Printf.sprintf "  \"wall_s\": %.3f,\n" total_wall);
-  Buffer.add_string buf (Printf.sprintf "  \"engine_runs\": %d,\n" total_runs);
-  Buffer.add_string buf (Printf.sprintf "  \"engine_runs_cancelled\": %d,\n" total_cancelled);
-  Buffer.add_string buf "  \"experiments\": [\n";
-  List.iteri
-    (fun i tm ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"wall_s\": %.3f, \"runs\": %d, \"cancelled\": %d, \
-            \"runs_per_s\": %.0f}%s\n"
-           tm.tm_name tm.tm_wall tm.tm_runs tm.tm_cancelled (runs_per_sec tm)
-           (if i = List.length timings - 1 then "" else ",")))
-    timings;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
-
-(* The campaign metrics file is built from canonically-reduced quantities
-   only (claim verdicts, canonical run tallies), never from event-stream
-   folds: interleaved event streams from parallel sweeps are schedule-
-   dependent, so folding them would break the byte-determinism contract
-   (DESIGN.md §11).  Everything written here is identical at any --domains. *)
-let write_metrics path ~quick ~rows timings =
-  let reg = Obs.Metrics.create () in
-  let quick_g =
-    Obs.Metrics.gauge reg ~help:"1 when the campaign ran with --quick" "wormhole_campaign_quick"
-  in
-  Obs.Metrics.set quick_g (if quick then 1 else 0);
-  let claims status =
-    Obs.Metrics.counter reg ~help:"Campaign claims by verdict"
-      ~labels:[ ("status", status) ]
-      "wormhole_campaign_claims_total"
-  in
-  let ok_c = claims "ok" and failed_c = claims "failed" in
-  List.iter
-    (fun r -> Obs.Metrics.inc (if r.Experiments.x_ok then ok_c else failed_c))
-    rows;
-  List.iter
-    (fun tm ->
-      let c =
-        Obs.Metrics.counter reg
-          ~help:"Canonical engine runs per experiment (speculative cancelled runs excluded)"
-          ~labels:[ ("experiment", tm.tm_name) ]
-          "wormhole_campaign_experiment_runs_total"
-      in
-      Obs.Metrics.add c (tm.tm_runs - tm.tm_cancelled))
-    timings;
-  let total =
-    Obs.Metrics.counter reg ~help:"Canonical engine runs across the campaign"
-      "wormhole_campaign_runs_total"
-  in
-  Obs.Metrics.add total
-    (List.fold_left (fun acc tm -> acc + (tm.tm_runs - tm.tm_cancelled)) 0 timings);
-  let oc = open_out path in
-  output_string oc (Obs.Metrics.to_prometheus reg);
-  close_out oc
-
 let main names quick max_p sanitize detect discipline domains json metrics verdicts latency =
-  (match domains with None -> () | Some d -> Wr_pool.set_default_domains d);
+  (match domains with
+  | None -> ()
+  | Some d when d < 1 ->
+    Printf.eprintf "--domains must be at least 1 (got %d)\n" d;
+    exit 2
+  | Some d -> Wr_pool.set_default_domains d);
   (match discipline with
   | None -> ()
   | Some spec -> (
@@ -176,93 +28,79 @@ let main names quick max_p sanitize detect discipline domains json metrics verdi
         spec;
       exit 2));
   let ppf = Format.std_formatter in
-  (* --latency arms the counters-first stats plane for the whole campaign:
-     every engine run gets a private accumulator, proving stats-on changes
-     no claim verdict (CI diffs the --verdicts files armed vs not) *)
-  if latency then Obs.Stats.arm ();
-  let sanitizer =
-    if sanitize then begin
-      let s = Sanitizer.create () in
-      Sanitizer.install s;
-      Some s
-    end
-    else None
-  in
+  let sanitizer = if sanitize then Some (Sanitizer.create ()) else None in
+  Option.iter Sanitizer.install sanitizer;
+  let registry = Experiments.registry ~quick ?max_p ~detect () in
   let selected =
     match names with
-    | [] -> known
+    | [] -> registry
     | names ->
       List.map
         (fun n ->
-          match List.assoc_opt n known with
-          | Some e -> (n, e)
+          match List.assoc_opt n registry with
+          | Some run -> (n, run)
           | None ->
             Printf.eprintf "unknown experiment %s (known: %s)\n" n
-              (String.concat ", " (List.map fst known));
+              (String.concat ", " (List.map fst registry));
             exit 2)
         names
   in
-  let timings = ref [] in
-  let rows =
-    List.concat_map
-      (fun (name, e) ->
+  let entries =
+    List.map
+      (fun (name, run) ->
         let t0 = Unix.gettimeofday () in
-        let runs0 = Engine.run_count () in
-        let cancelled0 = Engine.cancelled_count () in
-        let rows = run_one ~quick ~max_p ~detect ppf e in
+        let runs0 = Engine.run_count () and cancelled0 = Engine.cancelled_count () in
+        let rows = run ppf in
         Format.pp_print_flush ppf ();
-        let tm =
-          {
-            tm_name = name;
-            tm_wall = Unix.gettimeofday () -. t0;
-            tm_runs = Engine.run_count () - runs0;
-            tm_cancelled = Engine.cancelled_count () - cancelled0;
-          }
-        in
-        timings := tm :: !timings;
-        rows)
+        let wall = Unix.gettimeofday () -. t0 in
+        {
+          Experiments.e_name = name;
+          e_rows = rows;
+          e_wall = wall;
+          e_runs = Engine.run_count () - runs0;
+          e_cancelled = Engine.cancelled_count () - cancelled0;
+        })
       selected
   in
-  let timings = List.rev !timings in
-  Format.fprintf ppf "@\n=== Summary ===@\n%s@?" (Experiments.summary_table rows);
-  (match verdicts with
-  | None -> ()
-  | Some path ->
-    (* one "id ok|FAIL" line per claim: a canonical, domain-independent
-       reduction CI can diff across configurations (e.g. --detect on/off) *)
+  let campaign =
+    { Experiments.c_quick = quick; c_domains = Wr_pool.default_domains (); c_entries = entries }
+  in
+  let totals = Experiments.totals campaign in
+  let write path text what =
     let oc = open_out path in
-    List.iter
-      (fun r ->
-        Printf.fprintf oc "%s %s\n" r.Experiments.x_id
-          (if r.Experiments.x_ok then "ok" else "FAIL"))
-      rows;
+    output_string oc text;
     close_out oc;
-    Format.fprintf ppf "@\nclaim verdicts written to %s@\n" path);
-  let failed = List.filter (fun r -> not r.Experiments.x_ok) rows in
-  if failed <> [] then begin
-    Format.fprintf ppf "@\n%d claim(s) FAILED@." (List.length failed);
-    exit 1
-  end;
-  (match sanitizer with
-  | None -> ()
-  | Some s ->
-    Format.fprintf ppf "@\nsanitizer: %d runs (%d canonical, %d cancelled), %d cycles checked@."
-      (Sanitizer.runs_checked s)
-      (Sanitizer.runs_checked s - Sanitizer.runs_cancelled s)
-      (Sanitizer.runs_cancelled s) (Sanitizer.cycles_checked s);
-    if not (Sanitizer.ok s) then begin
-      Format.fprintf ppf "%d invariant violation(s):@." (Sanitizer.violation_count s);
-      List.iter
-        (fun d -> Format.fprintf ppf "  %a@." (Diagnostic.pp ()) d)
-        (Sanitizer.diagnostics s);
-      exit 1
-    end);
-  Format.fprintf ppf "@\nall %d claims reproduced@." (List.length rows);
-  (match metrics with
-  | None -> ()
-  | Some path ->
-    write_metrics path ~quick ~rows timings;
-    Format.fprintf ppf "@\ncampaign metrics written to %s@." path);
+    Format.fprintf ppf "@\n%s written to %s@." what path
+  in
+  Format.fprintf ppf "@\n=== Summary ===@\n%s@?"
+    (Experiments.summary_table (Experiments.campaign_rows campaign));
+  (* every requested output is written before the exit status is chosen,
+     so a failed campaign still leaves its verdicts, metrics and JSON *)
+  Option.iter
+    (fun path -> write path (Experiments.verdict_lines campaign) "claim verdicts")
+    verdicts;
+  if totals.t_failed > 0 then Format.fprintf ppf "@\n%d claim(s) FAILED@." totals.t_failed;
+  let sanitizer_ok =
+    match sanitizer with
+    | None -> true
+    | Some s ->
+      Format.fprintf ppf "@\nsanitizer: %d runs (%d canonical, %d cancelled), %d cycles checked@."
+        (Sanitizer.runs_checked s)
+        (Sanitizer.runs_checked s - Sanitizer.runs_cancelled s)
+        (Sanitizer.runs_cancelled s) (Sanitizer.cycles_checked s);
+      if not (Sanitizer.ok s) then begin
+        Format.fprintf ppf "%d invariant violation(s):@." (Sanitizer.violation_count s);
+        List.iter
+          (fun d -> Format.fprintf ppf "  %a@." (Diagnostic.pp ()) d)
+          (Sanitizer.diagnostics s)
+      end;
+      Sanitizer.ok s
+  in
+  let ok = totals.t_failed = 0 && sanitizer_ok in
+  if ok then Format.fprintf ppf "@\nall %d claims reproduced@." totals.t_claims;
+  Option.iter
+    (fun path -> write path (Experiments.metrics_text campaign) "campaign metrics")
+    metrics;
   (* the latency section runs a fixed workload set with explicit per-run
      accumulators merged in task-index order: byte-identical at any
      --domains, so it prints before the wall-clock-dependent sections *)
@@ -270,32 +108,19 @@ let main names quick max_p sanitize detect discipline domains json metrics verdi
     Experiments.latency_report ~quick ppf;
     Format.pp_print_flush ppf ()
   end;
-  (* wall-clock-dependent section last, so everything above stays byte-
+  (* wall-clock-dependent sections last, so everything above stays byte-
      identical across runs and domain counts *)
-  Format.fprintf ppf "@\n=== Timing (domains=%d) ===@\n%s@?" (Wr_pool.default_domains ())
-    (timing_table timings);
-  (* armed totals count speculative (later-cancelled) sweep runs too, so
-     like the timing table they stay out of the byte-diffed region *)
-  if latency then begin
-    Obs.Stats.disarm ();
-    Format.fprintf ppf "@\nstats (armed campaign totals): %s@."
-      (String.concat ", "
-         (List.map
-            (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-            (Obs.Stats.armed_totals ())))
-  end;
-  match json with
-  | None -> ()
-  | Some path ->
-    write_json path ~quick
-      ~domains:(Wr_pool.default_domains ())
-      ~claims:(List.length rows) ~failed:(List.length failed) timings;
-    Format.fprintf ppf "@\ntiming JSON written to %s@." path
+  Format.fprintf ppf "@\n=== Timing (domains=%d) ===@\n%s@?" campaign.c_domains
+    (Experiments.timing_table campaign);
+  Option.iter (fun path -> write path (Experiments.json_text campaign) "timing JSON") json;
+  if not ok then exit 1
 
 let names_arg =
-  let doc = "Experiments to run (default: all).  One of exp-f1, exp-t2, exp-corollaries, \
-             exp-t3, exp-t4, exp-t5, exp-g, exp-s1, exp-s2, exp-mfm, exp-a, exp-sw, exp-sw1, \
-             exp-mc, exp-fault, exp-detect, exp-lint, exp-synth." in
+  let doc =
+    "Experiments to run (default: all).  One of "
+    ^ String.concat ", " (List.map fst (Experiments.registry ()))
+    ^ "."
+  in
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
 
 let quick_arg =
@@ -349,10 +174,10 @@ let verdicts_arg =
   Arg.(value & opt (some string) None & info [ "verdicts" ] ~docv:"FILE" ~doc)
 
 let latency_arg =
-  let doc = "Arm the counters-first stats plane for the whole campaign (claim verdicts must \
-             not change) and append a latency section: p50/p90/p99/max percentiles, peak \
-             channel utilization and top head-of-line blocking channels over a fixed \
-             deterministic workload set, byte-identical at any --domains." in
+  let doc = "Append a latency section: p50/p90/p99/max percentiles, peak channel \
+             utilization and top head-of-line blocking channels over a fixed deterministic \
+             workload set, measured with explicit per-run stats accumulators and \
+             byte-identical at any --domains.  Claim verdicts do not change." in
   Arg.(value & flag & info [ "latency" ] ~doc)
 
 let cmd =

@@ -210,7 +210,12 @@ let lint_entries json fault_spec reroute_name all_flag metrics selection =
   if num_errors = 0 then 0 else 1
 
 let main list corpus synth json fault_spec reroute_name all_flag domains metrics selection =
-  (match domains with None -> () | Some d -> Wr_pool.set_default_domains d);
+  (match domains with
+  | None -> ()
+  | Some d when d < 1 ->
+    Printf.eprintf "--domains must be at least 1 (got %d)\n" d;
+    exit 2
+  | Some d -> Wr_pool.set_default_domains d);
   if list then list_registry ()
   else if corpus then run_corpus json
   else if synth then run_synth json

@@ -1476,34 +1476,158 @@ let exp_synth ?(quick = false) ppf =
   in
   fig_ring_rows @ random_rows
 
-let all ?quick ppf =
-  List.concat
-    [
-      exp_f1 ?quick ppf;
-      exp_t2 ?quick ppf;
-      exp_corollaries ?quick ppf;
-      exp_t3 ?quick ppf;
-      exp_t4 ?quick ppf;
-      exp_t5 ?quick ppf;
-      exp_g ?quick ppf;
-      exp_s1 ?quick ppf;
-      exp_s2 ?quick ppf;
-      exp_mfm ?quick ppf;
-      exp_a ?quick ppf;
-      exp_sw ?quick ppf;
-      exp_sw1 ?quick ppf;
-      exp_mc ?quick ppf;
-      exp_fault ?quick ppf;
-      exp_detect ?quick ppf;
-      exp_lint ?quick ppf;
-      exp_synth ?quick ppf;
-    ]
+let registry ?(quick = false) ?max_p ?(detect = false) () :
+    (string * (Format.formatter -> row list)) list =
+  [
+    ("exp-f1", exp_f1 ~quick);
+    ("exp-t2", exp_t2 ~quick);
+    ("exp-corollaries", exp_corollaries ~quick);
+    ("exp-t3", exp_t3 ~quick);
+    ("exp-t4", exp_t4 ~quick);
+    ("exp-t5", exp_t5 ~quick);
+    ("exp-g", exp_g ~quick ?max_p);
+    ("exp-s1", exp_s1 ~quick);
+    ("exp-s2", exp_s2 ~quick);
+    ("exp-mfm", exp_mfm ~quick);
+    ("exp-a", exp_a ~quick);
+    ("exp-sw", exp_sw ~quick);
+    ("exp-sw1", exp_sw1 ~quick);
+    ("exp-mc", exp_mc ~quick);
+    ("exp-fault", exp_fault ~quick ~detect);
+    ("exp-detect", exp_detect ~quick);
+    ("exp-lint", exp_lint ~quick);
+    ("exp-synth", exp_synth ~quick);
+  ]
 
 let summary_table rows =
   let table = Table.create [ "experiment"; "paper claim"; "measured"; "ok" ] in
   List.iter
     (fun r -> Table.add_row table [ r.x_id; r.x_claim; r.x_measured; (if r.x_ok then "yes" else "NO") ])
     rows;
+  Table.render table
+
+(* ---- Campaign record and its renderers (run_experiments outputs) ---- *)
+
+type entry = {
+  e_name : string;
+  e_rows : row list;
+  e_wall : float;
+  e_runs : int;
+  e_cancelled : int;
+}
+
+type campaign = { c_quick : bool; c_domains : int; c_entries : entry list }
+
+type totals = {
+  t_claims : int;
+  t_failed : int;
+  t_wall : float;
+  t_runs : int;
+  t_cancelled : int;
+  t_canonical : int;
+}
+
+let campaign_rows c = List.concat_map (fun e -> e.e_rows) c.c_entries
+
+let totals c =
+  List.fold_left
+    (fun t e ->
+      {
+        t_claims = t.t_claims + List.length e.e_rows;
+        t_failed = t.t_failed + List.length (List.filter (fun r -> not r.x_ok) e.e_rows);
+        t_wall = t.t_wall +. e.e_wall;
+        t_runs = t.t_runs + e.e_runs;
+        t_cancelled = t.t_cancelled + e.e_cancelled;
+        t_canonical = t.t_canonical + (e.e_runs - e.e_cancelled);
+      })
+    { t_claims = 0; t_failed = 0; t_wall = 0.; t_runs = 0; t_cancelled = 0; t_canonical = 0 }
+    c.c_entries
+
+let runs_per_sec runs wall = if wall > 0. then float_of_int runs /. wall else 0.
+
+let verdict_lines c =
+  String.concat ""
+    (List.map
+       (fun r -> Printf.sprintf "%s %s\n" r.x_id (if r.x_ok then "ok" else "FAIL"))
+       (campaign_rows c))
+
+(* Built from canonically reduced quantities only (claim verdicts, canonical
+   run tallies), never from event-stream folds: interleaved event streams
+   from parallel sweeps are schedule-dependent, so folding them would break
+   the byte-determinism contract (DESIGN.md §11). *)
+let metrics_text c =
+  let reg = Obs.Metrics.create () in
+  let quick_g =
+    Obs.Metrics.gauge reg ~help:"1 when the campaign ran with --quick" "wormhole_campaign_quick"
+  in
+  Obs.Metrics.set quick_g (if c.c_quick then 1 else 0);
+  let claims status =
+    Obs.Metrics.counter reg ~help:"Campaign claims by verdict"
+      ~labels:[ ("status", status) ]
+      "wormhole_campaign_claims_total"
+  in
+  let ok_c = claims "ok" and failed_c = claims "failed" in
+  List.iter (fun r -> Obs.Metrics.inc (if r.x_ok then ok_c else failed_c)) (campaign_rows c);
+  List.iter
+    (fun e ->
+      let runs =
+        Obs.Metrics.counter reg
+          ~help:"Canonical engine runs per experiment (speculative cancelled runs excluded)"
+          ~labels:[ ("experiment", e.e_name) ]
+          "wormhole_campaign_experiment_runs_total"
+      in
+      Obs.Metrics.add runs (e.e_runs - e.e_cancelled))
+    c.c_entries;
+  let total =
+    Obs.Metrics.counter reg ~help:"Canonical engine runs across the campaign"
+      "wormhole_campaign_runs_total"
+  in
+  Obs.Metrics.add total (totals c).t_canonical;
+  Obs.Metrics.to_prometheus reg
+
+let json_text c =
+  let t = totals c in
+  let last = List.length c.c_entries - 1 in
+  let experiment i e =
+    Printf.sprintf
+      "    {\"name\": %S, \"wall_s\": %.3f, \"runs\": %d, \"cancelled\": %d, \
+       \"runs_per_s\": %.0f}%s\n"
+      e.e_name e.e_wall e.e_runs e.e_cancelled (runs_per_sec e.e_runs e.e_wall)
+      (if i = last then "" else ",")
+  in
+  Printf.sprintf
+    "{\n\
+    \  \"schema\": \"wormhole-campaign/1\",\n\
+    \  \"domains\": %d,\n\
+    \  \"quick\": %b,\n\
+    \  \"claims\": %d,\n\
+    \  \"failed\": %d,\n\
+    \  \"wall_s\": %.3f,\n\
+    \  \"engine_runs\": %d,\n\
+    \  \"engine_runs_cancelled\": %d,\n\
+    \  \"experiments\": [\n%s  ]\n}\n"
+    c.c_domains c.c_quick t.t_claims t.t_failed t.t_wall t.t_runs t.t_cancelled
+    (String.concat "" (List.mapi experiment c.c_entries))
+
+let timing_table c =
+  let table =
+    Table.create
+      ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
+      [ "experiment"; "wall (s)"; "engine runs"; "cancelled"; "runs/sec" ]
+  in
+  let add name wall runs cancelled =
+    Table.add_row table
+      [
+        name;
+        Printf.sprintf "%.2f" wall;
+        string_of_int runs;
+        string_of_int cancelled;
+        Printf.sprintf "%.0f" (runs_per_sec runs wall);
+      ]
+  in
+  List.iter (fun e -> add e.e_name e.e_wall e.e_runs e.e_cancelled) c.c_entries;
+  let t = totals c in
+  add "total" t.t_wall t.t_runs t.t_cancelled;
   Table.render table
 
 (* ---- Latency telemetry report (run_experiments --latency) ---- *)

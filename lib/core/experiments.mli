@@ -124,11 +124,67 @@ val exp_synth : ?quick:bool -> Format.formatter -> row list
     bounded greedy routing family deadlocks; on pinned random digraphs the
     two verdicts always agree and both occur. *)
 
-val all : ?quick:bool -> Format.formatter -> row list
-(** Run everything in order. *)
+val registry :
+  ?quick:bool ->
+  ?max_p:int ->
+  ?detect:bool ->
+  unit ->
+  (string * (Format.formatter -> row list)) list
+(** The campaign's one experiment list, in run order: each name
+    (["exp-f1"], ...) with its runner.  [max_p] goes to [exp_g] and [detect]
+    to [exp_fault]; every runner gets [quick]. *)
 
 val summary_table : row list -> string
 (** Render rows as the EXPERIMENTS.md summary table. *)
+
+(** {1 Campaign record}
+
+    One [run_experiments] campaign: what each experiment claimed and what
+    it cost.  Every campaign output renders from this record.  Only the
+    wall times (and so [runs_per_s] and the timing table) and the started
+    and cancelled run counts depend on the host and the domain count; the
+    claim rows and the canonical run tallies are byte-identical at any
+    [--domains]. *)
+
+type entry = {
+  e_name : string;  (** registry name, e.g. ["exp-f1"] *)
+  e_rows : row list;
+  e_wall : float;  (** seconds *)
+  e_runs : int;  (** engine runs started *)
+  e_cancelled : int;
+      (** of those, runs a parallel sweep started speculatively and then
+          discarded; [e_runs - e_cancelled] is the canonical tally *)
+}
+
+type campaign = { c_quick : bool; c_domains : int; c_entries : entry list }
+
+type totals = {
+  t_claims : int;
+  t_failed : int;
+  t_wall : float;
+  t_runs : int;
+  t_cancelled : int;
+  t_canonical : int;  (** [t_runs - t_cancelled] *)
+}
+
+val campaign_rows : campaign -> row list
+val totals : campaign -> totals
+
+val verdict_lines : campaign -> string
+(** One ["claim-id ok|FAIL"] line per claim (the [--verdicts] file). *)
+
+val metrics_text : campaign -> string
+(** Prometheus text (the [--metrics] file): [wormhole_campaign_quick],
+    claims by status, and canonical engine runs per experiment and in
+    total.  Built from canonical quantities only, so byte-identical at any
+    [--domains]. *)
+
+val json_text : campaign -> string
+(** The [--json] file, schema [wormhole-campaign/1]. *)
+
+val timing_table : campaign -> string
+(** Wall time, runs started, runs cancelled and runs/s per experiment,
+    with a totals row. *)
 
 val latency_report : ?quick:bool -> Format.formatter -> unit
 (** The [run_experiments --latency] section: per-workload latency

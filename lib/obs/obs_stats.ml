@@ -129,35 +129,6 @@ let observe_latency t lat =
   done;
   t.st_lat_counts.(!i) <- t.st_lat_counts.(!i) + 1
 
-(* -- process-wide arming ---------------------------------------------- *)
-
-let armed_flag = Atomic.make false
-let armed_runs = Atomic.make 0
-let armed_cycles = Atomic.make 0
-let armed_delivered = Atomic.make 0
-let armed_blocked = Atomic.make 0
-let armed_lat_sum = Atomic.make 0
-
-let arm () = Atomic.set armed_flag true
-let disarm () = Atomic.set armed_flag false
-let armed () = Atomic.get armed_flag
-
-let fold_armed t =
-  ignore (Atomic.fetch_and_add armed_runs t.st_runs);
-  ignore (Atomic.fetch_and_add armed_cycles t.st_cycles);
-  ignore (Atomic.fetch_and_add armed_delivered t.st_delivered);
-  ignore (Atomic.fetch_and_add armed_blocked t.st_blocked);
-  ignore (Atomic.fetch_and_add armed_lat_sum t.st_lat_sum)
-
-let armed_totals () =
-  [
-    ("runs", Atomic.get armed_runs);
-    ("cycles", Atomic.get armed_cycles);
-    ("delivered", Atomic.get armed_delivered);
-    ("blocked_cycles", Atomic.get armed_blocked);
-    ("latency_sum", Atomic.get armed_lat_sum);
-  ]
-
 (* -- derived quantities ------------------------------------------------ *)
 
 let utilization t c =

@@ -6,9 +6,10 @@
     accumulator of flat int arrays that [Engine.run] writes into with
     plain stores — per-channel busy/owned/acquisition/wait counters,
     head-of-line blocking attribution, a fixed-bucket latency histogram, and
-    per-phase work counters.  The steady cycle stays allocation-free with
-    stats on; with stats off the kernel pays one [Atomic.get] per run plus a
-    never-taken branch per accumulation site.
+    per-phase work counters.  Stats are on for a run exactly when the caller
+    passes an accumulator ([?stats]).  The steady cycle stays allocation-free
+    with stats on; with stats off the kernel pays a never-taken branch per
+    accumulation site.
 
     Accumulators are single-domain values (plain ints, no atomics): give
     each run its own [t] and combine per-run accumulators with {!merge} in
@@ -64,7 +65,7 @@ val lat_bounds : int array
 
 val create : nchan:int -> t
 (** A zeroed accumulator for an [nchan]-channel topology.  The only
-    allocation of a stats-armed run: everything after this is int stores. *)
+    allocation of a stats-on run: everything after this is int stores. *)
 
 val reset : t -> unit
 
@@ -80,31 +81,6 @@ val none : t
 
 val observe_latency : t -> int -> unit
 (** Record one delivery latency (bucket bump + sum + max + delivered). *)
-
-(* -- process-wide arming --------------------------------------------- *)
-
-val arm : unit -> unit
-(** Arm stats process-wide: every subsequent run with no explicit [?stats]
-    creates a private accumulator at run start (setup-time allocation only)
-    and folds its scalar totals into {!armed_totals} at run end.  Pure
-    observation: outcomes and claim verdicts are byte-identical armed or
-    not (QCheck-checked in [test_stats]). *)
-
-val disarm : unit -> unit
-
-val armed : unit -> bool
-(** One [Atomic.get]; the kernel reads it once per run. *)
-
-val armed_totals : unit -> (string * int) list
-(** Scalar totals folded from armed auto-created accumulators, in fixed
-    order: runs, cycles, delivered, blocked_cycles, latency_sum.  Includes
-    speculative runs a parallel sweep later cancelled, so (like wall-clock
-    timings) the totals are {e not} domain-count invariant; keep them out
-    of byte-diffed output sections. *)
-
-val fold_armed : t -> unit
-(** Add an accumulator's scalar totals into {!armed_totals}.  Called by the
-    kernel at run end for armed auto-created accumulators. *)
 
 (* -- derived quantities ---------------------------------------------- *)
 

@@ -15,7 +15,7 @@ let discipline_of_string = function
 
 (* Process-wide discipline override for matrix sweeps (CI, EXP-SW1): rerun
    an existing oblivious campaign under another discipline without touching
-   every config construction site.  Same precedent as [Obs_stats.arm] /
+   every config construction site.  Same precedent as [Obs.install] /
    [Sanitizer.install].  Under a [Store_and_forward] override the effective
    buffer capacity is raised to the longest scheduled message so campaigns
    provisioned for wormhole (capacity 1) stay runnable. *)
@@ -302,22 +302,12 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
       (Fault.events config.faults)
   end;
   let have_faults = not (Fault.is_empty config.faults) in
-  (* -- telemetry: hoist the stats accumulator once per run.  An explicit
-        [?stats] wins; otherwise an armed process ({!Obs_stats.arm}) gets a
-        private accumulator whose scalar totals fold into the global armed
-        counters at run end.  Every accumulation site is guarded by
-        [stats_on], so a disarmed run pays one [Atomic.get] here plus a
-        never-taken branch per site -- and like the event bus, stats are
-        pure observation (QCheck-checked in test_stats). -- *)
-  let stats_auto =
-    match stats with None -> Obs_stats.armed () | Some _ -> false
-  in
-  let st =
-    match stats with
-    | Some st -> st
-    | None -> if stats_auto then Obs_stats.create ~nchan else Obs_stats.none
-  in
-  let stats_on = stats_auto || (match stats with Some _ -> true | None -> false) in
+  (* -- telemetry: stats are on iff the caller passed an accumulator.
+        Every accumulation site is guarded by [stats_on], so a stats-off
+        run pays a never-taken branch per site -- and like the event bus,
+        stats are pure observation (QCheck-checked in test_stats). -- *)
+  let st = match stats with Some st -> st | None -> Obs_stats.none in
+  let stats_on = Option.is_some stats in
   if stats_on then begin
     if st.Obs_stats.st_nchan <> nchan then
       inv "stats accumulator sized for a different topology";
@@ -1466,7 +1456,7 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
     (* -- telemetry accumulation: plain int stores into the preallocated
           accumulator.  The head-of-line walk reuses the kernel's per-run
           scratch cursors ([scan_found]/[ins_b]/[scan_flag] are free at end
-          of cycle), so a stats-armed steady cycle allocates nothing. -- *)
+          of cycle), so a stats-on steady cycle allocates nothing. -- *)
     if stats_on then begin
       st.Obs_stats.st_cycles <- st.Obs_stats.st_cycles + 1;
       if oblivious then st.Obs_stats.st_ph_arb <- st.Obs_stats.st_ph_arb + nact
@@ -1679,7 +1669,6 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
        let ci = match d.d_class with Global -> 0 | Local -> 1 | Weak -> 2 in
        st.Obs_stats.st_classes.(ci) <- st.Obs_stats.st_classes.(ci) + 1
      | All_delivered _ | Cutoff _ | Recovered _ -> ());
-  if stats_auto then Obs_stats.fold_armed st;
   if obs_on then begin
     let final =
       match o with

@@ -92,7 +92,7 @@ val set_discipline_override : discipline option -> unit
     scheduled message so wormhole-provisioned campaigns stay runnable;
     an explicit SAF config still validates strictly.  [None] restores
     per-config behavior.  Same process-wide-knob precedent as
-    {!Obs_stats.arm} and [Sanitizer.install]. *)
+    {!Obs.install} and [Sanitizer.install]. *)
 
 val discipline_override : unit -> discipline option
 
@@ -251,10 +251,9 @@ val run :
     [stats] accumulates counters-first telemetry into a preallocated
     {!Obs_stats.t} (per-channel utilization and blocking, latency histogram,
     per-phase work) with plain int stores -- the steady cycle allocates
-    nothing even with stats on.  Without [stats], a process armed via
-    {!Obs_stats.arm} gets a private per-run accumulator whose scalar totals
-    fold into {!Obs_stats.armed_totals}; otherwise the stats path costs one
-    atomic read per run.  Like [obs], stats are pure observation.
+    nothing even with stats on.  Stats are on iff [stats] is given; without
+    it the stats path costs a never-taken branch per accumulation site.
+    Like [obs], stats are pure observation.
     @raise Invalid_argument when [stats] is sized for a different channel
     count than the routing's topology.
 

@@ -102,6 +102,91 @@ let test_summary_table () =
   let s = Experiments.summary_table rows in
   check cb "table renders" true (String.length s > 40)
 
+(* ---- campaign record renderers (run_experiments outputs) ---- *)
+
+(* Two experiments, one failed claim, and speculative runs cancelled in the
+   first: canonical runs are 100 - 10 = 90 and 40, so 130 in total. *)
+let campaign =
+  let r id ok = { Experiments.x_id = id; x_claim = "c"; x_measured = "m"; x_ok = ok } in
+  {
+    Experiments.c_quick = true;
+    c_domains = 2;
+    c_entries =
+      [
+        { Experiments.e_name = "exp-x"; e_rows = [ r "X/a" true; r "X/b" true ];
+          e_wall = 1.5; e_runs = 100; e_cancelled = 10 };
+        { Experiments.e_name = "exp-y"; e_rows = [ r "Y/a" false ];
+          e_wall = 0.5; e_runs = 40; e_cancelled = 0 };
+      ];
+  }
+
+let cs = Alcotest.string
+
+let test_campaign_verdicts () =
+  check cs "verdict lines" "X/a ok\nX/b ok\nY/a FAIL\n" (Experiments.verdict_lines campaign)
+
+let test_campaign_metrics () =
+  check cs "prometheus"
+    "# HELP wormhole_campaign_claims_total Campaign claims by verdict\n\
+     # TYPE wormhole_campaign_claims_total counter\n\
+     wormhole_campaign_claims_total{status=\"failed\"} 1\n\
+     wormhole_campaign_claims_total{status=\"ok\"} 2\n\
+     # HELP wormhole_campaign_experiment_runs_total Canonical engine runs per experiment \
+     (speculative cancelled runs excluded)\n\
+     # TYPE wormhole_campaign_experiment_runs_total counter\n\
+     wormhole_campaign_experiment_runs_total{experiment=\"exp-x\"} 90\n\
+     wormhole_campaign_experiment_runs_total{experiment=\"exp-y\"} 40\n\
+     # HELP wormhole_campaign_quick 1 when the campaign ran with --quick\n\
+     # TYPE wormhole_campaign_quick gauge\n\
+     wormhole_campaign_quick 1\n\
+     # HELP wormhole_campaign_runs_total Canonical engine runs across the campaign\n\
+     # TYPE wormhole_campaign_runs_total counter\n\
+     wormhole_campaign_runs_total 130\n"
+    (Experiments.metrics_text campaign)
+
+let test_campaign_json () =
+  let json = Experiments.json_text campaign in
+  let keys =
+    List.filter_map
+      (fun line ->
+        if String.length line > 3 && String.sub line 0 3 = "  \"" then
+          Some (List.hd (String.split_on_char '"' (String.sub line 3 (String.length line - 3))))
+        else None)
+      (String.split_on_char '\n' json)
+  in
+  check (Alcotest.list cs) "top-level keys in order"
+    [ "schema"; "domains"; "quick"; "claims"; "failed"; "wall_s"; "engine_runs";
+      "engine_runs_cancelled"; "experiments" ]
+    keys;
+  check cs "json"
+    "{\n\
+    \  \"schema\": \"wormhole-campaign/1\",\n\
+    \  \"domains\": 2,\n\
+    \  \"quick\": true,\n\
+    \  \"claims\": 3,\n\
+    \  \"failed\": 1,\n\
+    \  \"wall_s\": 2.000,\n\
+    \  \"engine_runs\": 140,\n\
+    \  \"engine_runs_cancelled\": 10,\n\
+    \  \"experiments\": [\n\
+    \    {\"name\": \"exp-x\", \"wall_s\": 1.500, \"runs\": 100, \"cancelled\": 10, \
+     \"runs_per_s\": 67},\n\
+    \    {\"name\": \"exp-y\", \"wall_s\": 0.500, \"runs\": 40, \"cancelled\": 0, \
+     \"runs_per_s\": 80}\n\
+    \  ]\n\
+     }\n"
+    json
+
+let test_campaign_timing () =
+  let lines = String.split_on_char '\n' (String.trim (Experiments.timing_table campaign)) in
+  let last = List.nth lines (List.length lines - 1) in
+  check (Alcotest.list cs) "totals row" [ "total"; "2.00"; "140"; "10"; "70" ]
+    (List.filter (( <> ) "") (String.split_on_char ' ' last));
+  let t = Experiments.totals campaign in
+  check (Alcotest.list ci) "totals: claims, failed, runs, cancelled, canonical"
+    [ 3; 1; 140; 10; 130 ]
+    Experiments.[ t.t_claims; t.t_failed; t.t_runs; t.t_cancelled; t.t_canonical ]
+
 let () =
   Alcotest.run "integration"
     [
@@ -127,5 +212,12 @@ let () =
           Alcotest.test_case "exp-corollaries" `Slow test_exp_corollaries;
           Alcotest.test_case "exp-fault" `Quick test_exp_fault;
           Alcotest.test_case "summary table" `Quick test_summary_table;
+        ] );
+      ( "campaign",
+        [
+          Alcotest.test_case "verdict lines" `Quick test_campaign_verdicts;
+          Alcotest.test_case "prometheus" `Quick test_campaign_metrics;
+          Alcotest.test_case "json" `Quick test_campaign_json;
+          Alcotest.test_case "timing totals" `Quick test_campaign_timing;
         ] );
     ]

@@ -1,13 +1,12 @@
 (* Telemetry-plane tests (PR 9).
 
    The counters-first stats accumulator must be pure observation: run
-   outcomes are structurally identical with stats off, with an explicit
-   accumulator threaded, and with process-wide arming -- in both kernel
-   modes.  Campaign reductions merge per-run accumulators in task-index
+   outcomes are structurally identical with stats off and with an explicit
+   accumulator threaded, in both kernel modes.  Campaign reductions merge per-run accumulators in task-index
    order, so the --latency section is byte-identical at any domain count.
    The renderers must match what wormsim --stats-out writes byte for byte
    (the goldens under test/golden; regenerate with WORMHOLE_STATS_REGEN=1
-   and copy the files out of _build).  And a stats-armed steady cycle must
+   and copy the files out of _build).  And a stats-on steady cycle must
    hold the same allocation bound the bare kernel does. *)
 
 let check = Alcotest.check
@@ -170,16 +169,6 @@ let prop_stats_pure_adaptive =
       let st = Obs_stats.create ~nchan:nchan3 in
       Engine.run_adaptive ~stats:st mesh3_ad sched = off)
 
-let prop_armed_pure =
-  QCheck.Test.make ~name:"process-wide arming changes no outcome" ~count:40 schedule_gen
-    (fun sched ->
-      let off = Engine.run mesh3_rt sched in
-      Obs_stats.arm ();
-      let on =
-        Fun.protect ~finally:Obs_stats.disarm (fun () -> Engine.run mesh3_rt sched)
-      in
-      on = off)
-
 (* merging two per-run accumulators equals threading one accumulator
    through both runs: the law the campaign's task-index-order reduction
    (Wr_pool.map_reduce) relies on for domain-count invariance *)
@@ -230,7 +219,7 @@ let test_latency_report_domain_invariant () =
   check cb "report is nonempty" true (String.length out1 > 0);
   check cs "latency report byte-identical at 1 and 4 domains" out1 out4
 
-(* ---- allocation: a stats-armed steady cycle stays allocation-free ---- *)
+(* ---- allocation: a stats-on steady cycle stays allocation-free ---- *)
 
 (* Same workload and bound as test_kernel's stats-off assertion: long worms
    down a 4-node line, thousands of cycles, <1.5 minor words per cycle
@@ -261,7 +250,7 @@ let test_stats_steady_cycle_allocation () =
     | Engine.All_delivered _ -> ()
     | o -> Alcotest.failf "expected all-delivered, got %s" (Engine.outcome_string o));
     if delta > 25_000.0 then
-      Alcotest.failf "stats-armed steady cycle allocates: %.0f minor words per ~16k-cycle run"
+      Alcotest.failf "stats-on steady cycle allocates: %.0f minor words per ~16k-cycle run"
         delta
   end
 
@@ -286,7 +275,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_stats_pure_oblivious;
           QCheck_alcotest.to_alcotest prop_stats_pure_adaptive;
-          QCheck_alcotest.to_alcotest prop_armed_pure;
           QCheck_alcotest.to_alcotest prop_merge_law;
           QCheck_alcotest.to_alcotest prop_percentiles;
         ] );
