@@ -7,56 +7,44 @@
 
 open Cmdliner
 
-let nets =
-  [
-    "figure1"; "figure2"; "figure3a"; "figure3b"; "figure3c"; "figure3d"; "figure3e";
-    "figure3f"; "family2"; "family3"; "ring-4"; "ring-dateline-6"; "mesh-4x4"; "torus-4x4";
-    "torus-5x5"; "torus-dateline-4x4"; "hypercube-3"; "west-first-4x4";
-  ]
-
-let routing_of = function
-  | "figure1" -> Cd_algorithm.of_net (Paper_nets.figure1 ())
-  | "figure2" -> Cd_algorithm.of_net (Paper_nets.figure2 ())
-  | "figure3a" -> Cd_algorithm.of_net (Paper_nets.figure3 `A)
-  | "figure3b" -> Cd_algorithm.of_net (Paper_nets.figure3 `B)
-  | "figure3c" -> Cd_algorithm.of_net (Paper_nets.figure3 `C)
-  | "figure3d" -> Cd_algorithm.of_net (Paper_nets.figure3 `D)
-  | "figure3e" -> Cd_algorithm.of_net (Paper_nets.figure3 `E)
-  | "figure3f" -> Cd_algorithm.of_net (Paper_nets.figure3 `F)
-  | "family2" -> Cd_algorithm.of_net (Paper_nets.family 2)
-  | "family3" -> Cd_algorithm.of_net (Paper_nets.family 3)
-  | "ring-4" -> Ring_routing.clockwise (Builders.ring ~unidirectional:true 4)
-  | "ring-dateline-6" -> Ring_routing.dateline (Builders.ring ~unidirectional:true ~vcs:2 6)
-  | "mesh-4x4" -> Dimension_order.mesh (Builders.mesh [ 4; 4 ])
-  | "torus-4x4" -> Dimension_order.torus (Builders.torus [ 4; 4 ])
-  | "torus-5x5" -> Dimension_order.torus (Builders.torus [ 5; 5 ])
-  | "torus-dateline-4x4" ->
-    Dimension_order.torus ~datelines:true (Builders.torus ~vcs:2 [ 4; 4 ])
-  | "hypercube-3" -> Dimension_order.hypercube (Builders.hypercube 3)
-  | "west-first-4x4" -> Turn_model.west_first (Builders.mesh [ 4; 4 ])
-  | n ->
-    Printf.eprintf "unknown net %s (known: %s)\n" n (String.concat ", " nets);
-    exit 2
-
+(* The paper networks analyze their CD routing and can be model-checked:
+   the figure catalogue plus two Section-6 family members. *)
 let paper_net_of = function
-  | "figure1" -> Some (Paper_nets.figure1 ())
-  | "figure2" -> Some (Paper_nets.figure2 ())
-  | "figure3a" -> Some (Paper_nets.figure3 `A)
-  | "figure3b" -> Some (Paper_nets.figure3 `B)
-  | "figure3c" -> Some (Paper_nets.figure3 `C)
-  | "figure3d" -> Some (Paper_nets.figure3 `D)
-  | "figure3e" -> Some (Paper_nets.figure3 `E)
-  | "figure3f" -> Some (Paper_nets.figure3 `F)
   | "family2" -> Some (Paper_nets.family 2)
   | "family3" -> Some (Paper_nets.family 3)
-  | _ -> None
+  | n -> Option.map (fun (f : Paper_nets.figure) -> f.f_net) (Paper_nets.find n)
+
+let classic =
+  [
+    ("ring-4", fun () -> Ring_routing.clockwise (Builders.ring ~unidirectional:true 4));
+    ("ring-dateline-6", fun () -> Ring_routing.dateline (Builders.ring ~unidirectional:true ~vcs:2 6));
+    ("mesh-4x4", fun () -> Dimension_order.mesh (Builders.mesh [ 4; 4 ]));
+    ("torus-4x4", fun () -> Dimension_order.torus (Builders.torus [ 4; 4 ]));
+    ("torus-5x5", fun () -> Dimension_order.torus (Builders.torus [ 5; 5 ]));
+    ( "torus-dateline-4x4",
+      fun () -> Dimension_order.torus ~datelines:true (Builders.torus ~vcs:2 [ 4; 4 ]) );
+    ("hypercube-3", fun () -> Dimension_order.hypercube (Builders.hypercube 3));
+    ("west-first-4x4", fun () -> Turn_model.west_first (Builders.mesh [ 4; 4 ]));
+  ]
+
+let nets =
+  List.map (fun (f : Paper_nets.figure) -> Paper_nets.name f.f_net) (Paper_nets.figures ())
+  @ [ "family2"; "family3" ] @ List.map fst classic
 
 let main net dot no_search model_check =
-  let rt = routing_of net in
+  let pnet = paper_net_of net in
+  let rt =
+    match (pnet, List.assoc_opt net classic) with
+    | Some p, _ -> Cd_algorithm.of_net p
+    | None, Some routing -> routing ()
+    | None, None ->
+      Printf.eprintf "unknown net %s (known: %s)\n" net (String.concat ", " nets);
+      exit 2
+  in
   let report = Verify.analyze ~use_search:(not no_search) rt in
   Format.printf "%a@?" Verify.pp_report report;
   (if model_check then
-     match paper_net_of net with
+     match pnet with
      | Some pnet ->
        Format.printf "model checker (all timings, all arbitrations): %a@?" Model_checker.pp
          (Model_checker.check_net pnet);

@@ -17,6 +17,11 @@ let main names quick max_p sanitize detect discipline domains json metrics verdi
     Printf.eprintf "--domains must be at least 1 (got %d)\n" d;
     exit 2
   | Some d -> Wr_pool.set_default_domains d);
+  (match max_p with
+  | Some p when p < 2 ->
+    Printf.eprintf "--max-p must be at least 2 (got %d): exp-g compares family members\n" p;
+    exit 2
+  | Some _ | None -> ());
   (match discipline with
   | None -> ()
   | Some spec -> (
@@ -128,7 +133,8 @@ let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc)
 
 let max_p_arg =
-  let doc = "Largest Section-6 family parameter for exp-g." in
+  let doc = "Largest Section-6 family parameter for exp-g; at least 2, since the growth \
+             claim compares family members." in
   Arg.(value & opt (some int) None & info [ "max-p" ] ~docv:"N" ~doc)
 
 let sanitize_arg =

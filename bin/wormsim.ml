@@ -9,39 +9,31 @@
 
 open Cmdliner
 
-type built = {
-  coords : Builders.coords;
-  routing : [ `Oblivious of Routing.t | `Adaptive of Adaptive.t ];
-}
+type algo = [ `Oblivious of Routing.t | `Adaptive of Adaptive.t ]
 
-let paper_net = function
-  | "figure1" -> Some (Paper_nets.figure1 ())
-  | "figure2" -> Some (Paper_nets.figure2 ())
-  | "figure3a" -> Some (Paper_nets.figure3 `A)
-  | "figure3b" -> Some (Paper_nets.figure3 `B)
-  | "figure3c" -> Some (Paper_nets.figure3 `C)
-  | "figure3d" -> Some (Paper_nets.figure3 `D)
-  | "figure3e" -> Some (Paper_nets.figure3 `E)
-  | "figure3f" -> Some (Paper_nets.figure3 `F)
-  | _ -> None
+let algo_name = function
+  | `Oblivious rt -> Routing.name rt
+  | `Adaptive ad -> Adaptive.name ad
 
-(* The paper networks replay their designated messages under the CD
-   algorithm by default; --routing synth swaps in a synthesized certified
-   routing on the same network (same message set, deadlock-free paths). *)
-let paper_rt topology routing net =
-  if routing = "synth" then (
-    match Synth.synthesize ~name:(topology ^ "-synth") net.Paper_nets.topo with
-    | Ok (rt, plan) ->
-      Format.printf "synthesized routing via %s: %d dependencies rank-increasing@."
-        plan.Synth.p_strategy plan.Synth.p_dependencies;
-      rt
-    | Error w ->
-      failwith
-        (Format.asprintf "network admits no deadlock-free routing (E060): %a"
-           (Synth.pp_witness net.Paper_nets.topo) w))
-  else Cd_algorithm.of_net net
+(* --routing synth: synthesize a certified deadlock-free routing from the
+   topology alone, or refuse the network (E060).  On a paper network this
+   swaps the CD algorithm for the synthesized one (same message set,
+   deadlock-free paths). *)
+let synthesize topology topo =
+  match Synth.synthesize ~name:(topology ^ "-synth") topo with
+  | Ok (rt, plan) ->
+    Format.printf "synthesized routing via %s: %d dependencies rank-increasing@."
+      plan.Synth.p_strategy plan.Synth.p_dependencies;
+    rt
+  | Error w ->
+    failwith
+      (Format.asprintf "network admits no deadlock-free routing (E060): %a"
+         (Synth.pp_witness topo) w)
 
-let build topology dims routing =
+(* A classic topology and its routing.  Duato's protocol and the dateline
+   torus and ring need a second VC; so does a synthesized ring, since the
+   1-VC ring admits no deadlock-free routing (E060). *)
+let build topology dims routing : Builders.coords * algo =
   let dims_list =
     String.split_on_char 'x' dims
     |> List.map (fun s ->
@@ -49,63 +41,39 @@ let build topology dims routing =
            | Some n -> n
            | None -> failwith ("bad dimension: " ^ s))
   in
-  match (topology, routing) with
-  | "mesh", "xy" ->
-    let coords = Builders.mesh dims_list in
-    { coords; routing = `Oblivious (Dimension_order.mesh coords) }
-  | "mesh", "west-first" ->
-    let coords = Builders.mesh dims_list in
-    { coords; routing = `Oblivious (Turn_model.west_first coords) }
-  | "mesh", "north-last" ->
-    let coords = Builders.mesh dims_list in
-    { coords; routing = `Oblivious (Turn_model.north_last coords) }
-  | "mesh", "negative-first" ->
-    let coords = Builders.mesh dims_list in
-    { coords; routing = `Oblivious (Turn_model.negative_first coords) }
-  | "mesh", "adaptive" ->
-    let coords = Builders.mesh dims_list in
-    { coords; routing = `Adaptive (Adaptive.fully_adaptive_minimal coords) }
-  | "mesh", "duato" ->
-    let coords = Builders.mesh ~vcs:2 dims_list in
-    { coords; routing = `Adaptive (Adaptive.duato_mesh coords) }
-  | "torus", "ecube" ->
-    let coords = Builders.torus dims_list in
-    { coords; routing = `Oblivious (Dimension_order.torus coords) }
-  | "torus", "dateline" ->
-    let coords = Builders.torus ~vcs:2 dims_list in
-    { coords; routing = `Oblivious (Dimension_order.torus ~datelines:true coords) }
-  | "hypercube", "ecube" ->
-    let coords = Builders.hypercube (List.hd dims_list) in
-    { coords; routing = `Oblivious (Dimension_order.hypercube coords) }
-  | "ring", "clockwise" ->
-    let coords = Builders.ring ~unidirectional:true (List.hd dims_list) in
-    { coords; routing = `Oblivious (Ring_routing.clockwise coords) }
-  | "ring", "dateline" ->
-    let coords = Builders.ring ~unidirectional:true ~vcs:2 (List.hd dims_list) in
-    { coords; routing = `Oblivious (Ring_routing.dateline coords) }
-  | t, "synth" ->
-    (* synthesize the routing from the topology alone; the unidirectional
-       ring gets dateline VCs so synthesis has a deadlock-free design to
-       find (the 1-VC ring admits none and would be refused with E060) *)
-    let coords =
-      match t with
-      | "mesh" -> Builders.mesh dims_list
-      | "torus" -> Builders.torus dims_list
-      | "hypercube" -> Builders.hypercube (List.hd dims_list)
-      | "ring" -> Builders.ring ~unidirectional:true ~vcs:2 (List.hd dims_list)
-      | _ -> failwith (Printf.sprintf "unsupported topology/routing combination %s/synth" t)
-    in
-    let topo = coords.Builders.topo in
-    (match Synth.synthesize ~name:(t ^ "-synth") topo with
-    | Ok (rt, plan) ->
-      Format.printf "synthesized routing via %s: %d dependencies rank-increasing@."
-        plan.Synth.p_strategy plan.Synth.p_dependencies;
-      { coords; routing = `Oblivious rt }
-    | Error w ->
-      failwith
-        (Format.asprintf "network admits no deadlock-free routing (E060): %a"
-           (Synth.pp_witness topo) w))
-  | t, r -> failwith (Printf.sprintf "unsupported topology/routing combination %s/%s" t r)
+  let unsupported () =
+    failwith (Printf.sprintf "unsupported topology/routing combination %s/%s" topology routing)
+  in
+  let vcs =
+    match (topology, routing) with
+    | "mesh", "duato" | "torus", "dateline" | "ring", ("dateline" | "synth") -> 2
+    | _ -> 1
+  in
+  let coords =
+    match topology with
+    | "mesh" -> Builders.mesh ~vcs dims_list
+    | "torus" -> Builders.torus ~vcs dims_list
+    | "hypercube" -> Builders.hypercube (List.hd dims_list)
+    | "ring" -> Builders.ring ~unidirectional:true ~vcs (List.hd dims_list)
+    | _ -> unsupported ()
+  in
+  let algo =
+    match (topology, routing) with
+    | "mesh", "xy" -> `Oblivious (Dimension_order.mesh coords)
+    | "mesh", "west-first" -> `Oblivious (Turn_model.west_first coords)
+    | "mesh", "north-last" -> `Oblivious (Turn_model.north_last coords)
+    | "mesh", "negative-first" -> `Oblivious (Turn_model.negative_first coords)
+    | "mesh", "adaptive" -> `Adaptive (Adaptive.fully_adaptive_minimal coords)
+    | "mesh", "duato" -> `Adaptive (Adaptive.duato_mesh coords)
+    | "torus", "ecube" -> `Oblivious (Dimension_order.torus coords)
+    | "torus", "dateline" -> `Oblivious (Dimension_order.torus ~datelines:true coords)
+    | "hypercube", "ecube" -> `Oblivious (Dimension_order.hypercube coords)
+    | "ring", "clockwise" -> `Oblivious (Ring_routing.clockwise coords)
+    | "ring", "dateline" -> `Oblivious (Ring_routing.dateline coords)
+    | _, "synth" -> `Oblivious (synthesize topology coords.Builders.topo)
+    | _ -> unsupported ()
+  in
+  (coords, algo)
 
 let pattern_of coords rng = function
   | "uniform" -> Traffic.uniform rng coords
@@ -127,69 +95,51 @@ let fault_plan topo rng horizon = function
     | Ok plan -> plan
     | Error e -> failwith ("bad --faults spec: " ^ e))
 
-(* Recovery policy from the CLI flags; when permanent failures are planned
-   and the routing is oblivious, recompute paths around them and re-certify
-   the degraded algorithm before handing it to the engine. *)
+(* With permanent failures planned, recompute paths around them and
+   re-certify the degraded algorithm before handing it to the engine.  An
+   adaptive header already steers around down channels; its reroute
+   additionally pins each retried message to a re-certified static route
+   carved from the adaptive function's first choices. *)
+let reroute_of faults algo =
+  match Fault.failed_channels faults with
+  | [] -> None
+  | failed -> (
+    let base, fallback =
+      match algo with
+      | `Oblivious rt -> (rt, "original paths")
+      | `Adaptive ad -> (Adaptive.restrict_to_first ad, "adaptive freedom")
+    in
+    match Degrade.reroute ~quick:true ~failed base with
+    | Error e ->
+      Format.printf "degraded routing unavailable: %s@." e;
+      None
+    | Ok d when Degrade.certified d ->
+      Format.printf "%a@." Degrade.pp d;
+      let topo = Routing.topology base in
+      let adaptive = match algo with `Adaptive _ -> true | `Oblivious _ -> false in
+      List.iter
+        (fun diag -> Format.printf "%a@." (Diagnostic.pp ~topo ()) diag)
+        (Lint.reroute ~adaptive ~algorithm:(algo_name algo) topo d.Degrade.routing);
+      Some d.Degrade.routing
+    | Ok d ->
+      Format.printf "%a@." Degrade.pp d;
+      Format.printf "uncertified degraded routing: retrying with %s@." fallback;
+      None)
+
+(* Recovery policy from the CLI flags. *)
 let recovery_of faults recovery_on retry_limit watchdog detect detect_bound victim_policy
     algo =
   if not (recovery_on || detect) then None
   else
-    let reroute =
-      match algo with
-      | `Adaptive ad -> (
-        (* adaptive headers already steer around down channels; a reroute
-           additionally pins each retried message to a re-certified static
-           route carved from the adaptive function's first choices *)
-        match Fault.failed_channels faults with
-        | [] -> None
-        | failed -> (
-          match
-            Degrade.reroute ~quick:true ~failed (Adaptive.restrict_to_first ad)
-          with
-          | Error e ->
-            Format.printf "degraded routing unavailable: %s@." e;
-            None
-          | Ok d ->
-            Format.printf "%a@." Degrade.pp d;
-            if Degrade.certified d then begin
-              let topo = Adaptive.topology ad in
-              List.iter
-                (fun diag -> Format.printf "%a@." (Diagnostic.pp ~topo ()) diag)
-                (Lint.reroute ~adaptive:true ~algorithm:(Adaptive.name ad) topo
-                   d.Degrade.routing);
-              Some d.Degrade.routing
-            end
-            else begin
-              Format.printf "uncertified degraded routing: retrying with adaptive freedom@.";
-              None
-            end))
-      | `Oblivious rt -> (
-        match Fault.failed_channels faults with
-        | [] -> None
-        | failed -> (
-          match Degrade.reroute ~quick:true ~failed rt with
-          | Error e ->
-            Format.printf "degraded routing unavailable: %s@." e;
-            None
-          | Ok d ->
-            Format.printf "%a@." Degrade.pp d;
-            if Degrade.certified d then Some d.Degrade.routing
-            else begin
-              Format.printf "uncertified degraded routing: retrying on original paths@.";
-              None
-            end))
-    in
+    let reroute = reroute_of faults algo in
     let trigger =
       if not detect then Engine.Watchdog watchdog
       else begin
         (* --watchdog doubles as the backstop: the no-progress sweep that
            still covers acyclic wedges the detector cannot see *)
-        let algorithm =
-          match algo with
-          | `Adaptive ad -> Adaptive.name ad
-          | `Oblivious rt -> Routing.name rt
+        let diags =
+          Lint.detect_config ~algorithm:(algo_name algo) ~bound:detect_bound ~backstop:watchdog
         in
-        let diags = Lint.detect_config ~algorithm ~bound:detect_bound ~backstop:watchdog in
         List.iter (fun d -> Format.printf "%a@." (Diagnostic.pp ()) d) diags;
         if List.exists (fun d -> d.Diagnostic.severity = Diagnostic.Error) diags then
           failwith "invalid --detect configuration";
@@ -209,15 +159,10 @@ let recovery_of faults recovery_on retry_limit watchdog detect detect_bound vict
    the engine does, cut-through under-provisioning gets the whole-packet
    provisioning note.  Adaptive runs skip this: they always switch wormhole. *)
 let lint_discipline ~algorithm discipline sched buffer =
-  let max_length =
-    List.fold_left
-      (fun acc (m : Schedule.message_spec) -> max acc m.Schedule.ms_length)
-      1 sched
-  in
   let diags =
     Lint.discipline_config ~algorithm
       ~discipline:(Engine.discipline_string discipline)
-      ~buffer_capacity:buffer ~max_length
+      ~buffer_capacity:buffer ~max_length:(Schedule.max_length sched)
   in
   List.iter (fun d -> Format.printf "%a@." (Diagnostic.pp ()) d) diags;
   if List.exists (fun d -> d.Diagnostic.severity = Diagnostic.Error) diags then
@@ -297,11 +242,30 @@ let finalize_stats ~topo = function
     | hm -> Format.printf "%s" hm);
     Format.printf "stats written to %s@." path
 
-let run_oblivious ?stats topo rt sched config =
-  let out = Engine.run ~config ?stats rt sched in
-  Format.printf "%a@." (Engine.pp_outcome topo) out;
-  let pm = match out with Engine.Deadlock _ | Engine.Recovered _ -> true | _ -> false in
-  (Engine.is_deadlock out, pm)
+let post_mortem_of = function
+  | Engine.Deadlock _ | Engine.Recovered _ -> true
+  | Engine.All_delivered _ | Engine.Cutoff _ -> false
+
+(* Run once and print the outcome; traffic workloads report through
+   [Measure].  Returns (deadlocked, wants a post-mortem). *)
+let run_and_report ~config ?stats ~traffic topo algo sched =
+  match algo with
+  | `Oblivious rt when traffic ->
+    let report = Measure.run ~config ?stats rt sched in
+    Format.printf "%a@." Measure.pp report;
+    (report.Measure.deadlocked, report.Measure.deadlocked || report.Measure.recovered)
+  | `Oblivious rt ->
+    let out = Engine.run ~config ?stats rt sched in
+    Format.printf "%a@." (Engine.pp_outcome topo) out;
+    (Engine.is_deadlock out, post_mortem_of out)
+  | `Adaptive ad ->
+    let out = Engine.run_adaptive ~config ?stats ad sched in
+    (match out with
+    | Engine.All_delivered { finished_at; messages } ->
+      Format.printf "%d/%d delivered in %d cycles (adaptive)@." (List.length messages)
+        (List.length sched) finished_at
+    | o -> Format.printf "%a@." (Engine.pp_outcome topo) o);
+    (Engine.is_deadlock out, post_mortem_of out)
 
 let main topology dims routing pattern rate length horizon permutation seed buffer
     discipline_spec faults_spec recovery_on retry_limit watchdog detect detect_bound
@@ -316,139 +280,101 @@ let main topology dims routing pattern rate length horizon permutation seed buff
           ("unknown --discipline: " ^ discipline_spec
          ^ " (wormhole/wh, virtual-cut-through/vct, store-and-forward/saf)")
     in
-    match paper_net topology with
-    | Some net when witness ->
-      (* sweep the intent schedule space for a deadlock witness, then
-         replay only the witness under observation (sweeping under the
-         sink would record thousands of unrelated runs) *)
-      let rt = paper_rt topology routing net in
-      let templates =
-        List.map (fun i -> Explorer.intent_template net i) net.Paper_nets.intents
-      in
-      Printf.printf "network=%s messages=%d (witness sweep)\n" topology
-        (List.length net.Paper_nets.intents);
-      (match Explorer.explore rt (Explorer.default_space templates) with
-      | Explorer.No_deadlock { runs } ->
-        Format.printf "no deadlock witness in %d runs@." runs;
-        finalize_obs ~rt ~topo:net.Paper_nets.topo ~post_mortem:false
-          (setup_obs trace_out metrics_out)
-      | Explorer.Deadlock_found { runs; witness = w } ->
-        Format.printf "deadlock witness found after %d runs; replaying under observation@."
-          runs;
-        let obs = setup_obs trace_out metrics_out in
-        (* stats cover only the witness replay, not the sweep *)
-        let sctx = setup_stats net.Paper_nets.topo stats_out in
-        (* replay under --discipline: the sweep searches wormhole, but the
-           witness can be re-switched to see whether the verdict flips.
-           SAF gets whole-packet provisioning, like the campaign override *)
-        let cap =
-          let base = w.Explorer.w_config.Engine.buffer_capacity in
-          match discipline with
-          | Engine.Store_and_forward ->
-            List.fold_left
-              (fun acc (m : Schedule.message_spec) -> max acc m.Schedule.ms_length)
-              base w.Explorer.w_schedule
-          | Engine.Wormhole | Engine.Virtual_cut_through -> base
+    (* 1. the network and its routing; the paper networks replay their
+       designated messages under the CD algorithm by default *)
+    let topo, algo, workload =
+      match Paper_nets.find topology with
+      | Some { Paper_nets.f_net = net; _ } ->
+        let rt =
+          if routing = "synth" then synthesize topology net.Paper_nets.topo
+          else Cd_algorithm.of_net net
         in
-        let deadlocked, pm =
-          run_oblivious ?stats:(stats_acc sctx) net.Paper_nets.topo rt
-            w.Explorer.w_schedule
-            { w.Explorer.w_config with Engine.discipline; buffer_capacity = cap }
-        in
-        finalize_obs ~rt ~topo:net.Paper_nets.topo ~post_mortem:pm obs;
-        finalize_stats ~topo:net.Paper_nets.topo sctx;
-        if deadlocked then exit 3)
-    | Some net ->
-      (* the paper's CD networks replay their designated messages *)
-      let obs = setup_obs trace_out metrics_out in
-      let rt = paper_rt topology routing net in
-      let sched =
-        List.map
-          (fun (it : Paper_nets.intent) ->
-            Schedule.message ~length it.i_label it.i_src it.i_dst)
-          net.Paper_nets.intents
-      in
-      let faults = fault_plan net.Paper_nets.topo rng horizon faults_spec in
-      let recovery =
-        recovery_of faults recovery_on retry_limit watchdog detect detect_bound
-          victim_policy (`Oblivious rt)
-      in
-      Printf.printf "network=%s messages=%d\n" topology (List.length sched);
-      lint_discipline ~algorithm:(Routing.name rt) discipline sched buffer;
-      if not (Fault.is_empty faults) then
-        Format.printf "faults: %a@." (Fault.pp net.Paper_nets.topo) faults;
-      let sctx = setup_stats net.Paper_nets.topo stats_out in
-      let deadlocked, pm =
-        run_oblivious ?stats:(stats_acc sctx) net.Paper_nets.topo rt sched
-          { Engine.default_config with buffer_capacity = buffer; discipline; faults; recovery }
-      in
-      finalize_obs ~rt ~topo:net.Paper_nets.topo ~post_mortem:pm obs;
-      finalize_stats ~topo:net.Paper_nets.topo sctx;
-      if deadlocked then exit 3
-    | None ->
-      if witness then failwith "--witness only applies to paper networks (figure1, figure2, ...)";
-      let obs = setup_obs trace_out metrics_out in
-      let { coords; routing = algo } = build topology dims routing in
-      (match algo with
-      | `Oblivious rt -> (
-        match Routing.validate rt with
-        | Ok () -> ()
-        | Error e -> failwith ("routing invalid: " ^ e))
-      | `Adaptive ad -> (
-        match Adaptive.validate ad with
-        | Ok () -> ()
-        | Error e -> failwith ("adaptive routing invalid: " ^ e)));
-      let pat = pattern_of coords rng pattern in
-      let sched =
-        if permutation then Traffic.permutation_schedule pat ~coords ~length
-        else Traffic.bernoulli_schedule rng pat ~coords ~rate ~length ~horizon
-      in
-      Printf.printf "topology=%s dims=%s routing=%s pattern=%s messages=%d\n" topology dims
-        routing pat.Traffic.name (List.length sched);
+        (net.Paper_nets.topo, `Oblivious rt, if witness then `Witness (net, rt) else `Intents net)
+      | None ->
+        if witness then
+          failwith "--witness only applies to paper networks (figure1, figure2, ...)";
+        let coords, algo = build topology dims routing in
+        (match algo with
+        | `Oblivious rt -> (
+          match Routing.validate rt with
+          | Ok () -> ()
+          | Error e -> failwith ("routing invalid: " ^ e))
+        | `Adaptive ad -> (
+          match Adaptive.validate ad with
+          | Ok () -> ()
+          | Error e -> failwith ("adaptive routing invalid: " ^ e)));
+        (coords.Builders.topo, algo, `Traffic coords)
+    in
+    (* 2. the schedule and its config; a witness sweep that finds no
+       deadlock leaves nothing to run *)
+    let configure sched =
       (match algo with
       | `Oblivious rt -> lint_discipline ~algorithm:(Routing.name rt) discipline sched buffer
       | `Adaptive _ -> ());
-      let faults = fault_plan coords.Builders.topo rng horizon faults_spec in
-      if not (Fault.is_empty faults) then
-        Format.printf "faults: %a@." (Fault.pp coords.Builders.topo) faults;
+      let faults = fault_plan topo rng horizon faults_spec in
+      if not (Fault.is_empty faults) then Format.printf "faults: %a@." (Fault.pp topo) faults;
       let recovery =
         recovery_of faults recovery_on retry_limit watchdog detect detect_bound victim_policy
           algo
-      in
-      let config =
-        { Engine.default_config with buffer_capacity = buffer; discipline; faults; recovery }
       in
       (match (algo, discipline) with
       | `Adaptive _, (Engine.Virtual_cut_through | Engine.Store_and_forward) ->
         Format.printf "note: adaptive runs always switch wormhole; --discipline ignored@."
       | _ -> ());
-      let sctx = setup_stats coords.Builders.topo stats_out in
-      (match algo with
-      | `Oblivious rt ->
-        let report = Measure.run ~config ?stats:(stats_acc sctx) rt sched in
-        Format.printf "%a@." Measure.pp report;
-        finalize_obs ~rt ~topo:coords.Builders.topo
-          ~post_mortem:(report.Measure.deadlocked || report.Measure.recovered)
-          obs;
-        finalize_stats ~topo:coords.Builders.topo sctx;
-        if report.Measure.deadlocked then exit 3
-      | `Adaptive ad ->
-        let out = Engine.run_adaptive ~config ?stats:(stats_acc sctx) ad sched in
-        (match out with
-        | Engine.All_delivered { finished_at; messages } ->
-          Format.printf "%d/%d delivered in %d cycles (adaptive)@." (List.length messages)
-            (List.length sched) finished_at
-        | o -> Format.printf "%a@." (Engine.pp_outcome coords.Builders.topo) o);
-        let pm =
-          match out with
-          | Engine.Deadlock _ | Engine.Recovered _ -> true
-          | _ -> false
+      { Engine.default_config with buffer_capacity = buffer; discipline; faults; recovery }
+    in
+    let run =
+      match workload with
+      | `Witness (net, rt) -> (
+        (* sweep the intent schedule space for a deadlock witness, then
+           replay only the witness under observation (sweeping under the
+           sink would record thousands of unrelated runs).  The sweep
+           searches wormhole; the replay switches under --discipline,
+           provisioned like the campaign override. *)
+        let templates =
+          List.map (fun i -> Explorer.intent_template net i) net.Paper_nets.intents
         in
-        (* adaptive: no oblivious routing function, so the post-mortem skips
-           the CDG classification *)
-        finalize_obs ~topo:coords.Builders.topo ~post_mortem:pm obs;
-        finalize_stats ~topo:coords.Builders.topo sctx;
-        if Engine.is_deadlock out then exit 3)
+        Printf.printf "network=%s messages=%d (witness sweep)\n" topology
+          (List.length net.Paper_nets.intents);
+        match Explorer.explore rt (Explorer.default_space templates) with
+        | Explorer.No_deadlock { runs } ->
+          Format.printf "no deadlock witness in %d runs@." runs;
+          None
+        | Explorer.Deadlock_found { runs; witness = w } ->
+          Format.printf "deadlock witness found after %d runs; replaying under observation@."
+            runs;
+          let sched = w.Explorer.w_schedule in
+          Some (sched, Engine.provision discipline sched w.Explorer.w_config))
+      | `Intents net ->
+        let sched = Schedule.of_intents ~length net in
+        Printf.printf "network=%s messages=%d\n" topology (List.length sched);
+        Some (sched, configure sched)
+      | `Traffic coords ->
+        let pat = pattern_of coords rng pattern in
+        let sched =
+          if permutation then Traffic.permutation_schedule pat ~coords ~length
+          else Traffic.bernoulli_schedule rng pat ~coords ~rate ~length ~horizon
+        in
+        Printf.printf "topology=%s dims=%s routing=%s pattern=%s messages=%d\n" topology dims
+          routing pat.Traffic.name (List.length sched);
+        Some (sched, configure sched)
+    in
+    (* 3. observe, run, report and exit once; stats cover only the run *)
+    let obs = setup_obs trace_out metrics_out in
+    let sctx = match run with Some _ -> setup_stats topo stats_out | None -> None in
+    let deadlocked, post_mortem =
+      match run with
+      | None -> (false, false)
+      | Some (sched, config) ->
+        let traffic = match workload with `Traffic _ -> true | `Witness _ | `Intents _ -> false in
+        run_and_report ~config ?stats:(stats_acc sctx) ~traffic topo algo sched
+    in
+    (* adaptive runs have no oblivious routing function, so their
+       post-mortem skips the CDG classification *)
+    let rt = match algo with `Oblivious rt -> Some rt | `Adaptive _ -> None in
+    finalize_obs ?rt ~topo ~post_mortem obs;
+    finalize_stats ~topo sctx;
+    if deadlocked then exit 3
   with Failure msg | Invalid_argument msg ->
     Printf.eprintf "wormsim: %s\n" msg;
     exit 2
@@ -571,3 +497,4 @@ let cmd =
       $ witness_arg $ trace_out_arg $ metrics_out_arg $ stats_out_arg)
 
 let () = exit (Cmd.eval cmd)
+

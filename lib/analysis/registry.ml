@@ -29,24 +29,22 @@ let entries () =
   let torus2 = Builders.torus ~vcs:2 [ 4; 4 ] in
   let ring1 = Builders.ring ~unidirectional:true 4 in
   let ring2 = Builders.ring ~unidirectional:true ~vcs:2 6 in
-  [
-    (* -- the paper's access-ring networks -- *)
-    paper_net "cd-figure1" (Paper_nets.figure1 ())
+  (* -- the paper's access-ring networks, declared as the paper claims -- *)
+  List.map2
+    (fun (f : Paper_nets.figure) note ->
+      paper_net ~ddf:(not f.f_deadlock) ("cd-" ^ Paper_nets.name f.f_net) f.f_net note)
+    (Paper_nets.figures ())
+    [
       "Figure 1: cyclic CDG, deadlock-free by Theorem 2";
-    paper_net ~ddf:false "cd-figure2" (Paper_nets.figure2 ())
       "Figure 2: the blocking chain closes, deadlock reachable";
-    paper_net "cd-figure3a" (Paper_nets.figure3 `A)
       "Figure 3(a): unreachable cycle (shared access channel)";
-    paper_net "cd-figure3b" (Paper_nets.figure3 `B)
       "Figure 3(b): unreachable cycle (suffix overlap)";
-    paper_net ~ddf:false "cd-figure3c" (Paper_nets.figure3 `C)
       "Figure 3(c): reachable deadlock variant";
-    paper_net ~ddf:false "cd-figure3d" (Paper_nets.figure3 `D)
       "Figure 3(d): reachable deadlock variant";
-    paper_net ~ddf:false "cd-figure3e" (Paper_nets.figure3 `E)
       "Figure 3(e): reachable deadlock variant";
-    paper_net ~ddf:false "cd-figure3f" (Paper_nets.figure3 `F)
       "Figure 3(f): reachable deadlock variant";
+    ]
+  @ [
     paper_net "cd-family-2" (Paper_nets.family 2)
       "Section 6 family, k=2: deadlock-free with cyclic CDG";
     (* -- classic oblivious algorithms -- *)
@@ -79,6 +77,18 @@ let entries () =
   ]
 
 let names () = List.map (fun e -> e.r_name) (entries ())
+
+let suite () =
+  let members =
+    [ "xy-mesh-4x4"; "west-first-4x4"; "ecube-hypercube-3"; "ecube-torus-4x4-novc";
+      "ecube-torus-4x4-dateline"; "ring-dateline-6" ]
+  in
+  List.filter_map
+    (fun e ->
+      match e.r_algo with
+      | Oblivious rt when List.mem e.r_name members -> Some (e.r_name, rt)
+      | Oblivious _ | Adaptive _ -> None)
+    (entries ())
 
 let find name = List.find_opt (fun e -> e.r_name = name) (entries ())
 

@@ -27,6 +27,13 @@ val entries : unit -> entry list
 (** Build the whole registry (construction is cheap; nothing is cached). *)
 
 val names : unit -> string list
+
+val suite : unit -> (string * Routing.t) list
+(** The classic oblivious suite the Corollary 1-3, Theorem 3 and message
+    flow experiments sweep, in registry order: XY and west-first on the
+    4x4 mesh, e-cube on the 3-cube, e-cube on the 4x4 torus without and
+    with dateline VCs, and the dateline ring of 6. *)
+
 val find : string -> entry option
 
 val topology : entry -> Topology.t

@@ -104,24 +104,11 @@ let exp_t2 ?(quick = false) ppf =
 
 (* ---- Corollaries 1-3 over the algorithm suite ---- *)
 
-let suite () =
-  let mesh = Builders.mesh [ 4; 4 ] in
-  let hc = Builders.hypercube 3 in
-  let torus1 = Builders.torus [ 4; 4 ] in
-  let torus2 = Builders.torus ~vcs:2 [ 4; 4 ] in
-  let ring2 = Builders.ring ~unidirectional:true ~vcs:2 6 in
-  [
-    ("xy-mesh-4x4", Dimension_order.mesh mesh);
-    ("west-first-4x4", Turn_model.west_first mesh);
-    ("ecube-hypercube-3", Dimension_order.hypercube hc);
-    ("ecube-torus-4x4-novc", Dimension_order.torus torus1);
-    ("ecube-torus-4x4-dateline", Dimension_order.torus ~datelines:true torus2);
-    ("ring-dateline-6", Ring_routing.dateline ring2);
-  ]
-
 let exp_corollaries ?(quick = false) ppf =
   header ppf "EXP-C123: Corollaries 1-3 (property checkers and verdicts)";
-  let algorithms = ("cd-figure1", Cd_algorithm.of_net (Paper_nets.figure1 ())) :: suite () in
+  let algorithms =
+    ("cd-figure1", Cd_algorithm.of_net (Paper_nets.figure1 ())) :: Registry.suite ()
+  in
   let table =
     Table.create
       [ "algorithm"; "minimal"; "suffix-closed"; "coherent"; "CDG"; "conclusion" ]
@@ -218,7 +205,7 @@ let exp_t3 ?(quick = false) ppf =
             (List.length cycles) ok;
           ok
         end)
-      (suite ())
+      (Registry.suite ())
   in
   [
     row "T3/cd-nonminimal" "the CD example cannot be minimal"
@@ -262,17 +249,24 @@ let exp_t4 ?(quick = false) ppf =
 
 let exp_t5 ?(quick = false) ppf =
   header ppf "EXP-T5: Figure 3 / Theorem 5 (three sharers: the eight conditions)";
+  (* the Figure-3 rows of the catalogue, named by their sub-figure letter *)
   let cases =
-    [ (`A, "a", false); (`B, "b", false); (`C, "c", true); (`D, "d", true); (`E, "e", true);
-      (`F, "f", true) ]
+    let prefix = "figure3" in
+    let k = String.length prefix in
+    List.filter_map
+      (fun (f : Paper_nets.figure) ->
+        let name = Paper_nets.name f.f_net in
+        if String.starts_with ~prefix name then
+          Some (f.f_net, String.sub name k (String.length name - k), f.f_deadlock)
+        else None)
+      (Paper_nets.figures ())
   in
   let table =
     Table.create [ "case"; "paper"; "checker"; "search"; "agrees" ]
   in
   let rows =
     List.map
-      (fun (case, name, paper_deadlock) ->
-        let net = Paper_nets.figure3 case in
+      (fun (net, name, paper_deadlock) ->
         let rt = Cd_algorithm.of_net net in
         let cdg = Cdg.build rt in
         let checker =
@@ -337,10 +331,13 @@ let exp_g ?(quick = false) ?max_p ppf =
             | None -> Printf.sprintf ">%d" max_h);
           ];
         (p, r))
-      (List.init max_p (fun i -> i + 1))
+      (List.init (max 0 max_p) (fun i -> i + 1))
   in
   Format.fprintf ppf "%s" (Table.render table);
-  let all_safe = List.for_all (fun (_, r) -> r.Min_delay.md_no_delay_safe) results in
+  (* a claim needs data: one measured member for safety, two for growth *)
+  let all_safe =
+    results <> [] && List.for_all (fun (_, r) -> r.Min_delay.md_no_delay_safe) results
+  in
   let delays =
     List.map (fun (_, r) -> match r.Min_delay.md_min_delay with Some h -> h | None -> max_int)
       results
@@ -349,7 +346,7 @@ let exp_g ?(quick = false) ?max_p ppf =
     | a :: (b :: _ as rest) -> a < b && strictly_increasing rest
     | _ -> true
   in
-  let growing = strictly_increasing delays in
+  let growing = List.length delays >= 2 && strictly_increasing delays in
   [
     row "G/safe" "every family member is deadlock-free without adversarial delay"
       (if all_safe then "safe for all p tested" else "deadlocked without delay") all_safe;
@@ -471,7 +468,7 @@ let exp_mfm ?(quick = false) ppf =
         Format.fprintf ppf "%s: %a@
 " name (Message_flow.pp (Routing.topology rt)) r;
         (not cdg_acyclic) || Message_flow.proves_deadlock_free r)
-      (suite ())
+      (Registry.suite ())
   in
   rows :=
     row "MFM/acyclic-suite" "deadlock-immunity fixpoint proves the acyclic algorithms"
@@ -504,15 +501,10 @@ let exp_mc ?(quick = false) ppf =
   header ppf "EXP-MC: exhaustive state-space verification (all timings, all arbitrations)";
   let table = Table.create [ "network"; "paper"; "model checker"; "states"; "agrees" ] in
   let extra = if quick then [ -2; -1; 0 ] else [ -2; -1; 0; 1 ] in
-  let cases =
-    [ ("figure1", Paper_nets.figure1 (), false); ("figure2", Paper_nets.figure2 (), true);
-      ("figure3a", Paper_nets.figure3 `A, false); ("figure3b", Paper_nets.figure3 `B, false);
-      ("figure3c", Paper_nets.figure3 `C, true); ("figure3d", Paper_nets.figure3 `D, true);
-      ("figure3e", Paper_nets.figure3 `E, true); ("figure3f", Paper_nets.figure3 `F, true) ]
-  in
   let rows =
     List.map
-      (fun (name, net, paper_deadlock) ->
+      (fun { Paper_nets.f_net = net; f_deadlock = paper_deadlock } ->
+        let name = Paper_nets.name net in
         let v = Model_checker.check_net ~extra net in
         let found, states =
           match v with
@@ -531,7 +523,7 @@ let exp_mc ?(quick = false) ppf =
           (if paper_deadlock then "deadlock reachable" else "unreachable for all timings")
           (Format.asprintf "%a" Model_checker.pp v)
           ok)
-      cases
+      (Paper_nets.figures ())
   in
   Format.fprintf ppf "%s" (Table.render table);
   (* Section-6 consistency: with the unbounded-delay adversary Figure 1
@@ -630,22 +622,6 @@ let exp_sw1 ?(quick = false) ppf =
   let disciplines =
     [ Engine.Wormhole; Engine.Virtual_cut_through; Engine.Store_and_forward ]
   in
-  let max_len sched =
-    List.fold_left
-      (fun acc (m : Schedule.message_spec) -> max acc m.Schedule.ms_length)
-      1 sched
-  in
-  (* SAF refuses capacity below the longest message; provision it the way
-     the process-wide override does, leaving the other disciplines at the
-     workload's own capacity *)
-  let config_for d base sched =
-    let cap =
-      match d with
-      | Engine.Store_and_forward -> max base (max_len sched)
-      | Engine.Wormhole | Engine.Virtual_cut_through -> base
-    in
-    { Engine.default_config with buffer_capacity = cap; discipline = d }
-  in
   let show = function
     | Engine.All_delivered { finished_at; _ } ->
       Printf.sprintf "all delivered by cycle %d" finished_at
@@ -662,17 +638,12 @@ let exp_sw1 ?(quick = false) ppf =
     | _ -> false
   in
   (* one matrix row: run the workload under all three disciplines (the runs
-     are independent, so fan out on the pool), print one line each *)
-  let sweep name ?faults ?(base = 1) rt sched =
+     are independent, so fan out on the pool), print one line each.  SAF
+     refuses capacity below the longest message, so every discipline gets
+     the process-wide override's provisioning ({!Engine.provision}) *)
+  let sweep name ?(config = Engine.default_config) rt sched =
     let outs =
-      Wr_pool.map
-        (fun d ->
-          let config =
-            match faults with
-            | None -> config_for d base sched
-            | Some f -> { (config_for d base sched) with Engine.faults = f }
-          in
-          Engine.run ~config rt sched)
+      Wr_pool.map (fun d -> Engine.run ~config:(Engine.provision d sched config) rt sched)
         disciplines
     in
     List.iter2
@@ -692,27 +663,7 @@ let exp_sw1 ?(quick = false) ppf =
     | Explorer.No_deadlock _ -> failwith "EXP-SW1: figure-2 witness sweep found no deadlock"
   in
   let fig2_wh, fig2_vct, fig2_saf =
-    let outs =
-      Wr_pool.map
-        (fun d ->
-          let base = w2.Explorer.w_config.Engine.buffer_capacity in
-          let cap =
-            match d with
-            | Engine.Store_and_forward -> max base (max_len w2.Explorer.w_schedule)
-            | Engine.Wormhole | Engine.Virtual_cut_through -> base
-          in
-          Engine.run
-            ~config:
-              { w2.Explorer.w_config with Engine.discipline = d; buffer_capacity = cap }
-            rt2 w2.Explorer.w_schedule)
-        disciplines
-    in
-    List.iter2
-      (fun d o ->
-        Format.fprintf ppf "%-14s %-19s %s@\n" "fig2-witness" (Engine.discipline_string d)
-          (show o))
-      disciplines outs;
-    match outs with [ a; b; c ] -> (a, b, c) | _ -> assert false
+    sweep "fig2-witness" ~config:w2.Explorer.w_config rt2 w2.Explorer.w_schedule
   in
   (* -- a true channel cycle: the unidirectional ring under tornado -- *)
   let ring = Builders.ring ~unidirectional:true 4 in
@@ -746,7 +697,9 @@ let exp_sw1 ?(quick = false) ppf =
   let weak_faults = Fault.make [ Fault.Link_failure { channel = lbc; at = 0 } ] in
   let weak_sched = [ Schedule.message ~length:2 "w" la lc ] in
   let weak_wh, weak_vct, weak_saf =
-    sweep "line-fault" ~faults:weak_faults line_rt weak_sched
+    sweep "line-fault"
+      ~config:{ Engine.default_config with faults = weak_faults }
+      line_rt weak_sched
   in
   (* -- classic substrates: acyclic CDGs deliver everywhere, the torus
      wrap-around cycle deadlocks everywhere -- *)
@@ -776,12 +729,9 @@ let exp_sw1 ?(quick = false) ppf =
      space under cut-through provisioning) -- *)
   let net1 = Paper_nets.figure1 () in
   let rt1 = Cd_algorithm.of_net net1 in
-  let fig1_sched =
-    List.map
-      (fun (it : Paper_nets.intent) -> Schedule.message ~length:4 it.i_label it.i_src it.i_dst)
-      net1.Paper_nets.intents
+  let fig1_wh, fig1_vct, fig1_saf =
+    sweep "fig1-intents" rt1 (Schedule.of_intents ~length:4 net1)
   in
-  let fig1_wh, fig1_vct, fig1_saf = sweep "fig1-intents" rt1 fig1_sched in
   ignore quick;
   [
     row "SW1/fig2-wormhole" "the Figure-2 witness deadlocks under wormhole (Theorem 4)"
@@ -898,11 +848,6 @@ let exp_fault ?(quick = false) ?(detect = false) ppf =
     Format.fprintf ppf "(online detection armed: bound %d, backstop 32, minimal victim)@\n"
       Obs_detect.default_config.Obs_detect.bound;
   let recovery = { Engine.default_recovery with trigger; retry_limit = 4; backoff = 8 } in
-  let intents_schedule net =
-    List.map
-      (fun (it : Paper_nets.intent) -> Schedule.message ~length:4 it.i_label it.i_src it.i_dst)
-      net.Paper_nets.intents
-  in
   (* one-line outcome summaries for the claims table *)
   let brief = function
     | Engine.All_delivered { finished_at; messages } ->
@@ -918,18 +863,18 @@ let exp_fault ?(quick = false) ?(detect = false) ppf =
   (* 1. seeded random fault campaigns on the figure networks: recovery with
      a retry cap must terminate every run, deterministically *)
   let nets =
-    if quick then [ ("figure1", Paper_nets.figure1 ()) ]
+    if quick then [ Paper_nets.figure1 () ]
     else
-      [ ("figure1", Paper_nets.figure1 ()); ("figure2", Paper_nets.figure2 ());
-        ("figure3c", Paper_nets.figure3 `C); ("figure3f", Paper_nets.figure3 `F) ]
+      [ Paper_nets.figure1 (); Paper_nets.figure2 (); Paper_nets.figure3 `C;
+        Paper_nets.figure3 `F ]
   in
   (* each net's seeded campaign is independent: simulate on the pool, then
      print and build the claim rows in order *)
   let campaign =
     Wr_pool.map
-      (fun (name, net) ->
+      (fun net ->
         let rt = Cd_algorithm.of_net net in
-        let sched = intents_schedule net in
+        let sched = Schedule.of_intents ~length:4 net in
         let rng = Rng.create 7 in
         let faults =
           Fault.random ~link_failures:1 ~stalls:2 ~max_stall:16 ~horizon:15 rng
@@ -938,7 +883,7 @@ let exp_fault ?(quick = false) ?(detect = false) ppf =
         let config = { Engine.default_config with faults; recovery = Some recovery } in
         let out = Engine.run ~config rt sched in
         let replay = Engine.run ~config rt sched in
-        (name, net, faults, out, replay))
+        (Paper_nets.name net, net, faults, out, replay))
       nets
   in
   let campaign_rows =
@@ -967,7 +912,7 @@ let exp_fault ?(quick = false) ?(detect = false) ppf =
      other messages need. *)
   let net = Paper_nets.figure1 () in
   let rt = Cd_algorithm.of_net net in
-  let sched = intents_schedule net in
+  let sched = Schedule.of_intents ~length:4 net in
   let victim_channel =
     match net.Paper_nets.intents with
     | it :: _ -> List.nth it.Paper_nets.i_path (List.length it.Paper_nets.i_path - 1)
@@ -1275,7 +1220,8 @@ let exp_synth ?(quick = false) ppf =
   (* one work item per network; every item runs on the pool and returns
      (report text, row), so the printed report and the claim rows keep
      input order at any domain count *)
-  let figure_item (name, net) () =
+  let figure_item net () =
+    let name = Paper_nets.name net in
     let buf = Buffer.create 256 in
     let bpf = Format.formatter_of_buffer buf in
     let topo = net.Paper_nets.topo in
@@ -1432,13 +1378,12 @@ let exp_synth ?(quick = false) ppf =
   in
   let figure_nets =
     [
-      ("figure1", Paper_nets.figure1 ());
-      ("figure2", Paper_nets.figure2 ());
-      ("figure3a", Paper_nets.figure3 `A);
-      ("figure3f", Paper_nets.figure3 `F);
-      ("family-2", Paper_nets.family 2);
+      Paper_nets.figure1 (); Paper_nets.figure2 (); Paper_nets.figure3 `A;
+      Paper_nets.figure3 `F; Paper_nets.family 2;
     ]
-    @ (if quick then [] else [ ("figure3b", Paper_nets.figure3 `B); ("figure3c", Paper_nets.figure3 `C); ("figure3d", Paper_nets.figure3 `D); ("figure3e", Paper_nets.figure3 `E) ])
+    @
+    if quick then []
+    else [ Paper_nets.figure3 `B; Paper_nets.figure3 `C; Paper_nets.figure3 `D; Paper_nets.figure3 `E ]
   in
   let ring_sizes = if quick then [ 3; 4 ] else [ 3; 4; 5 ] in
   let fig_and_ring_items =
@@ -1674,13 +1619,7 @@ let latency_report ?(quick = false) ppf =
           (Topology.num_channels fig2.Paper_nets.topo)
           [
             (fun st ->
-              let sched =
-                List.map
-                  (fun (it : Paper_nets.intent) ->
-                    Schedule.message ~length:4 it.i_label it.i_src it.i_dst)
-                  fig2.Paper_nets.intents
-              in
-              ignore (Engine.run ~stats:st fig2_rt sched));
+              ignore (Engine.run ~stats:st fig2_rt (Schedule.of_intents ~length:4 fig2)));
           ] );
       ( "mesh8x8-xy-uniform",
         mesh.Builders.topo,

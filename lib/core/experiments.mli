@@ -45,7 +45,10 @@ val exp_t5 : ?quick:bool -> Format.formatter -> row list
 
 val exp_g : ?quick:bool -> ?max_p:int -> Format.formatter -> row list
 (** Section 6: [family p] is deadlock-free without adversarial delay, and
-    the minimum in-network delay that creates a deadlock grows with [p]. *)
+    the minimum in-network delay that creates a deadlock grows with [p],
+    for [p] = 1..[max_p].  [G/safe] fails without a measured member and
+    [G/growth] fails with fewer than two, so a [max_p] below 2 can never
+    pass vacuously. *)
 
 val exp_s1 : ?quick:bool -> Format.formatter -> row list
 (** Substrate validation (extension): torus e-cube without virtual channels

@@ -34,15 +34,10 @@ let certified t =
   | _ -> false
 
 let networks () =
-  [
-    ("figure1", (Paper_nets.figure1 ()).Paper_nets.topo);
-    ("figure2", (Paper_nets.figure2 ()).Paper_nets.topo);
-    ("figure3a", (Paper_nets.figure3 `A).Paper_nets.topo);
-    ("figure3b", (Paper_nets.figure3 `B).Paper_nets.topo);
-    ("figure3c", (Paper_nets.figure3 `C).Paper_nets.topo);
-    ("figure3d", (Paper_nets.figure3 `D).Paper_nets.topo);
-    ("figure3e", (Paper_nets.figure3 `E).Paper_nets.topo);
-    ("figure3f", (Paper_nets.figure3 `F).Paper_nets.topo);
+  List.map
+    (fun (f : Paper_nets.figure) -> (Paper_nets.name f.f_net, f.f_net.topo))
+    (Paper_nets.figures ())
+  @ [
     ("family-2", (Paper_nets.family 2).Paper_nets.topo);
     ("mesh-4x4", (Builders.mesh [ 4; 4 ]).Builders.topo);
     ("mesh-4x4-vc2", (Builders.mesh ~vcs:2 [ 4; 4 ]).Builders.topo);

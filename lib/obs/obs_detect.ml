@@ -277,17 +277,3 @@ let scan cfg events =
      confirm. *)
   step (max !now t.stall_horizon + cfg.bound);
   List.rev !dets
-
-let pp_detection ?topo () ppf d =
-  let chan c =
-    match topo with
-    | Some tp -> Topology.channel_name tp c
-    | None -> Printf.sprintf "channel#%d" c
-  in
-  Format.fprintf ppf "knot confirmed at cycle %d (quiet since %d, %s): %s; victim%s %s"
-    d.dk_cycle d.dk_formed
-    (deadlock_class_string d.dk_class)
-    (String.concat " -> "
-       (List.map (fun (l, c) -> Printf.sprintf "%s(%s)" l (chan c)) d.dk_members))
-    (if List.length d.dk_victims = 1 then "" else "s")
-    (String.concat ", " d.dk_victims)

@@ -13,22 +13,19 @@ type space = {
   messages : msg_template list;
   gaps : int list;
   buffers : int list;
-  try_all_orders : bool;
   priorities : priority_mode;
-  max_cycles : int;
 }
+
+(* per-run safety cutoff: every swept run finishes long before it *)
+let max_cycles = 10_000
 
 let default_space messages =
   {
     messages;
     gaps = [ 0; 1 ];
     buffers = [ 1; 2 ];
-    try_all_orders = true;
     priorities = All_permutations;
-    max_cycles = 10_000;
   }
-
-let wide_space messages = { (default_space messages) with gaps = [ 0; 1; 2; 3 ] }
 
 let minimal_length_template rt ?(extra = [ 0; 1 ]) ?(holds = [ [] ]) ?(offsets = [ 0 ]) label
     src dst =
@@ -86,13 +83,12 @@ let pow b e =
 
 let space_size sp =
   let n = List.length sp.messages in
-  let orders = if sp.try_all_orders then fact n else 1 in
   let prios = match sp.priorities with All_permutations -> fact n | Fifo_only | Follow_order -> 1 in
   let gaps = pow (List.length sp.gaps) (max 0 (n - 1)) in
   let lengths = List.fold_left (fun acc t -> acc * List.length t.t_lengths) 1 sp.messages in
   let holds = List.fold_left (fun acc t -> acc * List.length t.t_holds) 1 sp.messages in
   let offsets = List.fold_left (fun acc t -> acc * List.length t.t_offsets) 1 sp.messages in
-  orders * prios * gaps * lengths * holds * offsets * List.length sp.buffers
+  fact n * prios * gaps * lengths * holds * offsets * List.length sp.buffers
 
 exception Engine_bug of Diagnostic.t
 
@@ -134,20 +130,19 @@ let explore ?(stop_at_first = true) ?domains rt sp =
     Combinat.iter_permutations (fun p -> acc := Array.copy p :: !acc) (Array.init n Fun.id);
     Array.of_list (List.rev !acc)
   in
-  let orders = if sp.try_all_orders then perms else [| Array.init n Fun.id |] in
   let prios_per_order =
     match sp.priorities with
     | All_permutations -> Array.length perms
     | Fifo_only | Follow_order -> 1
   in
-  let ntasks = Array.length orders * prios_per_order in
+  let ntasks = Array.length perms * prios_per_order in
   (* Every Engine.run call across all tasks and domains, whether or not its
      task's result survives the canonical reduce. *)
   let started = Atomic.make 0 in
   let emit e = match Obs.current () with Some s -> s.Obs.emit e | None -> () in
   let exception Task_done in
   let run_task ~stop ti =
-    let order = orders.(ti / prios_per_order) in
+    let order = perms.(ti / prios_per_order) in
     let priority =
       match sp.priorities with
       | Fifo_only -> None
@@ -192,7 +187,7 @@ let explore ?(stop_at_first = true) ?domains rt sp =
       in
       let config =
         { Engine.buffer_capacity = buffer; arbitration; discipline = Engine.Wormhole;
-          max_cycles = sp.max_cycles; faults = Fault.empty; recovery = None }
+          max_cycles; faults = Fault.empty; recovery = None }
       in
       incr runs;
       note_start ();

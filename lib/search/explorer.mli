@@ -43,17 +43,14 @@ type space = {
   messages : msg_template list;
   gaps : int list;  (** candidate inter-injection gaps (cycles), e.g. [0;1] *)
   buffers : int list;  (** candidate flit-buffer capacities, e.g. [1;2] *)
-  try_all_orders : bool;  (** permute the injection order *)
   priorities : priority_mode;
-  max_cycles : int;  (** per-run safety cutoff *)
 }
+(** Every injection order is swept; each run stops at a 10_000-cycle
+    safety cutoff. *)
 
 val default_space : msg_template list -> space
 (** gaps [0;1], buffers [1;2], all orders, all priority permutations,
     10_000-cycle cutoff. *)
-
-val wide_space : msg_template list -> space
-(** A larger confirmation sweep: gaps [0;1;2;3], buffers [1;2]. *)
 
 val minimal_length_template :
   Routing.t -> ?extra:int list -> ?holds:(Topology.channel * int) list list ->

@@ -61,6 +61,13 @@ let default_config =
     recovery = None;
   }
 
+let provision discipline sched config =
+  match discipline with
+  | Store_and_forward ->
+    let buffer_capacity = max config.buffer_capacity (Schedule.max_length sched) in
+    { config with discipline; buffer_capacity }
+  | Wormhole | Virtual_cut_through -> { config with discipline }
+
 type message_result = {
   r_label : string;
   r_injected_at : int option;
@@ -174,28 +181,20 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
   in
   if config.buffer_capacity < 1 then inv "buffer_capacity < 1";
   if config.max_cycles < 1 then inv "max_cycles < 1";
-  (* effective discipline: adaptive runs always switch wormhole (carved
-     routes have no fixed packet staging point); oblivious runs honor the
-     process-wide override, then the config *)
-  let override = if oblivious then Atomic.get discipline_override_cell else None in
-  let discipline =
-    if not oblivious then Wormhole
-    else match override with Some d -> d | None -> config.discipline
-  in
-  let max_len =
-    List.fold_left
-      (fun acc (m : Schedule.message_spec) -> max acc m.Schedule.ms_length)
-      1 sched
-  in
-  (* effective scalar capacity: an overridden store-and-forward sweep gets
-     whole-packet buffers for free (the override's point is re-running
+  (* effective config: oblivious runs honor the process-wide override,
+     provisioned by {!provision} (an overridden store-and-forward sweep gets
+     whole-packet buffers for free -- the override's point is re-running
      wormhole-provisioned campaigns); an explicit SAF config must provision
-     them itself (validated below, lint E047) *)
-  let cap =
-    match discipline with
-    | Store_and_forward when override <> None -> max config.buffer_capacity max_len
-    | Store_and_forward | Wormhole | Virtual_cut_through -> config.buffer_capacity
+     them itself (validated below, lint E047).  Adaptive runs always switch
+     wormhole (carved routes have no fixed packet staging point). *)
+  let config =
+    match if oblivious then Atomic.get discipline_override_cell else None with
+    | Some d -> provision d sched config
+    | None -> config
   in
+  let discipline = if oblivious then config.discipline else Wormhole in
+  let max_len = Schedule.max_length sched in
+  let cap = config.buffer_capacity in
   (match config.recovery with
   | None -> ()
   | Some r ->

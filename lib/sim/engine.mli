@@ -87,10 +87,11 @@ val discipline_of_string : string -> discipline option
 val set_discipline_override : discipline option -> unit
 (** Process-wide discipline override for matrix sweeps (CI, EXP-SW1):
     while set, every oblivious run switches under the given discipline
-    regardless of its [config.discipline].  Under a [Store_and_forward]
-    override the effective buffer capacity is raised to the longest
-    scheduled message so wormhole-provisioned campaigns stay runnable;
-    an explicit SAF config still validates strictly.  [None] restores
+    regardless of its [config.discipline]: the run's config is passed
+    through {!provision}, so under a [Store_and_forward] override the
+    effective buffer capacity is raised to the longest scheduled message
+    and wormhole-provisioned campaigns stay runnable; an explicit SAF
+    config still validates strictly.  [None] restores
     per-config behavior.  Same process-wide-knob precedent as
     {!Obs.install} and [Sanitizer.install]. *)
 
@@ -148,6 +149,14 @@ type config = {
 
 val default_config : config
 (** capacity 1, FIFO, wormhole, 100_000 cycles, no faults, no recovery. *)
+
+val provision : discipline -> Schedule.t -> config -> config
+(** [provision d sched config] switches [config] to discipline [d].  For
+    [Store_and_forward] it also raises [buffer_capacity] to the longest
+    message of [sched] (whole-packet buffers), so a wormhole-provisioned
+    workload stays runnable; the other disciplines keep the capacity.  The
+    one SAF provisioning rule: the {!set_discipline_override} path applies
+    it to every oblivious run. *)
 
 type message_result = {
   r_label : string;

@@ -13,6 +13,13 @@ let message ?(length = 1) ?(at = 0) ?(holds = []) label src dst =
   { ms_label = label; ms_src = src; ms_dst = dst; ms_length = length; ms_inject_at = at;
     ms_holds = holds }
 
+let of_intents ~length net =
+  List.map
+    (fun (it : Paper_nets.intent) -> message ~length it.i_label it.i_src it.i_dst)
+    net.Paper_nets.intents
+
+let max_length sched = List.fold_left (fun acc m -> max acc m.ms_length) 1 sched
+
 (* label uniqueness via a hash pass (not a sort: comparing every label
    against every other through polymorphic compare shows up in the
    per-run validation cost of the bench hot paths) *)

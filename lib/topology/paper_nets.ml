@@ -285,3 +285,22 @@ let figure3 case =
         shared "M2" 3 8 5;
       ]
       12
+
+type figure = { f_net : net; f_deadlock : bool }
+
+let figures () =
+  let fig net deadlock = { f_net = net; f_deadlock = deadlock } in
+  [
+    fig (figure1 ()) false;
+    fig (figure2 ()) true;
+    fig (figure3 `A) false;
+    fig (figure3 `B) false;
+    fig (figure3 `C) true;
+    fig (figure3 `D) true;
+    fig (figure3 `E) true;
+    fig (figure3 `F) true;
+  ]
+
+let name net = net.n_spec.s_name
+
+let find n = List.find_opt (fun f -> name f.f_net = n) (figures ())

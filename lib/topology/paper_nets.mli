@@ -92,3 +92,22 @@ val figure3 : [ `A | `B | `C | `D | `E | `F ] -> net
 (** The six three-sharer networks of Figure 3.  Cases [`A] and [`B] are
     false resource cycles; [`C]-[`F] admit deadlock.  [`F] adds a fourth
     message from a dedicated source that does not use the shared channel. *)
+
+(** {1 The catalogue of figures and their claimed verdicts} *)
+
+type figure = {
+  f_net : net;
+  f_deadlock : bool;  (** the paper claims a deadlock is reachable *)
+}
+
+val figures : unit -> figure list
+(** The eight figure networks in figure order (figure1, figure2,
+    figure3a-figure3f), each with the verdict the paper claims: a deadlock
+    is reachable in Figure 2 and Figures 3(c)-(f), but not in Figure 1 or
+    the false resource cycles of Figures 3(a) and 3(b). *)
+
+val name : net -> string
+(** The network's [s_name], e.g. [figure3c] or [family-2]. *)
+
+val find : string -> figure option
+(** Look a figure up by its {!name}. *)

@@ -79,15 +79,6 @@ let test_min_delay_witness_replays () =
          w.Explorer.w_schedule)
   | None -> Alcotest.fail "expected a witness"
 
-(* ---- explorer wide space ---- *)
-
-let test_wide_space () =
-  let net = Paper_nets.figure2 () in
-  let templates = List.map (fun i -> Explorer.intent_template net i) net.Paper_nets.intents in
-  let narrow = Explorer.default_space templates in
-  let wide = Explorer.wide_space templates in
-  check cb "wide is larger" true (Explorer.space_size wide > Explorer.space_size narrow)
-
 (* ---- paper-net helper values on figure 2 ---- *)
 
 let test_figure2_helper_values () =
@@ -182,7 +173,6 @@ let () =
       ( "search",
         [
           Alcotest.test_case "min-delay witness replays" `Slow test_min_delay_witness_replays;
-          Alcotest.test_case "wide space" `Quick test_wide_space;
           Alcotest.test_case "mc dateline safe" `Quick test_mc_dateline_safe;
         ] );
       ( "paper_nets",

@@ -248,9 +248,6 @@ let prop_disciplines_deliver_superset =
   QCheck.Test.make ~name:"VCT/SAF deliver a superset of wormhole (acyclic CDG)"
     ~count:(count 60) (schedule_gen mesh3)
     (fun sched ->
-      let max_len =
-        List.fold_left (fun acc (m : Schedule.message_spec) -> max acc m.ms_length) 1 sched
-      in
       let run discipline buffer_capacity =
         let config = { Engine.default_config with discipline; buffer_capacity } in
         Engine.run ~config mesh3_rt sched
@@ -265,7 +262,7 @@ let prop_disciplines_deliver_superset =
       in
       let wormhole = run Engine.Wormhole 1 in
       let vct = delivered (run Engine.Virtual_cut_through 1) in
-      let saf = delivered (run Engine.Store_and_forward max_len) in
+      let saf = delivered (run Engine.Store_and_forward (Schedule.max_length sched)) in
       match wormhole with
       | Engine.All_delivered _ ->
         List.for_all
@@ -283,6 +280,50 @@ let prop_wormhole_discipline_identity =
     (fun sched ->
       let config = { Engine.default_config with discipline = Engine.Wormhole } in
       Engine.run ~config ring5_rt sched = Engine.run ring5_rt sched)
+
+(* The one provisioning rule: a run under the process-wide discipline
+   override equals a run of [Engine.provision]'s config, for VCT and SAF.
+   Schedules are wormhole-provisioned (capacity 1, lengths up to 6) on the
+   paper networks and a ring, so the SAF capacity raise is always
+   exercised and so are deadlocks. *)
+let provision_case_gen =
+  let nets =
+    Array.of_list
+      (List.map
+         (fun (f : Paper_nets.figure) -> (Cd_algorithm.of_net f.f_net, f.f_net))
+         (Paper_nets.figures ()))
+  in
+  QCheck.make
+    ~print:(fun (rt, sched) ->
+      Format.asprintf "%s: %a" (Routing.name rt) (Schedule.pp (Routing.topology rt)) sched)
+    QCheck.Gen.(
+      let* k = 0 -- Array.length nets in
+      if k = Array.length nets then map (fun s -> (ring5_rt, s)) (QCheck.gen (schedule_gen ring5))
+      else
+        let rt, net = nets.(k) in
+        let base = Schedule.of_intents ~length:1 net in
+        let* timing = flatten_l (List.map (fun _ -> pair (1 -- 6) (0 -- 6)) base) in
+        return
+          ( rt,
+            List.map2
+              (fun m (ms_length, ms_inject_at) -> { m with Schedule.ms_length; ms_inject_at })
+              base timing ))
+
+let prop_override_matches_provision =
+  QCheck.Test.make ~name:"discipline override = Engine.provision config (VCT, SAF)"
+    ~count:(count 80) provision_case_gen
+    (fun (rt, sched) ->
+      List.for_all
+        (fun d ->
+          let saved = Engine.discipline_override () in
+          Engine.set_discipline_override (Some d);
+          let overridden =
+            Fun.protect
+              ~finally:(fun () -> Engine.set_discipline_override saved)
+              (fun () -> Engine.run rt sched)
+          in
+          overridden = Engine.run ~config:(Engine.provision d sched Engine.default_config) rt sched)
+        [ Engine.Virtual_cut_through; Engine.Store_and_forward ])
 
 (* ---- fault injection and recovery ---- *)
 
@@ -674,7 +715,8 @@ let () =
         [ prop_acyclic_never_deadlocks; prop_sim_deterministic; prop_ring_outcomes_wellformed;
           prop_buffer_capacity_preserves_delivery ];
       suite "disciplines"
-        [ prop_disciplines_deliver_superset; prop_wormhole_discipline_identity ];
+        [ prop_disciplines_deliver_superset; prop_wormhole_discipline_identity;
+          prop_override_matches_provision ];
       suite "fault-recovery"
         [ prop_recovery_terminates_mesh; prop_recovery_terminates_ring;
           prop_faulted_runs_deterministic; prop_fault_plan_roundtrip ];

@@ -13,8 +13,8 @@ let test_space_size () =
   let sp = Explorer.default_space templates in
   (* 2 msgs: 2! orders x 2! priorities x 2 gaps x 4 lengths each x 2 buffers *)
   check ci "size" (2 * 2 * 2 * (4 * 4) * 2) (Explorer.space_size sp);
-  let sp2 = { sp with try_all_orders = false; priorities = Explorer.Fifo_only } in
-  check ci "trimmed" (2 * 16 * 2) (Explorer.space_size sp2)
+  let sp2 = { sp with priorities = Explorer.Fifo_only } in
+  check ci "trimmed" (2 * 2 * 16 * 2) (Explorer.space_size sp2)
 
 let test_templates () =
   let net = Paper_nets.figure2 () in
