@@ -114,7 +114,7 @@ let entries =
        fun () -> Engine.run ~stats:st mesh8_rt mesh_schedule);
     (* the hot-path workload with online deadlock detection armed and no
        event bus installed: the gap against engine-hotpath is the price of
-       building events for the detector's feed plus its per-cycle tick *)
+       the per-cycle wait-table walk (recovery's watchdog sweep included) *)
     case "sim/detect-overhead"
       (let config =
          {

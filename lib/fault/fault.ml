@@ -15,7 +15,8 @@ let make events =
         if at < 0 then invalid_arg "Fault.make: failure time < 0"
       | Transient_stall { at; duration; _ } ->
         if at < 0 then invalid_arg "Fault.make: stall time < 0";
-        if duration < 1 then invalid_arg "Fault.make: stall duration < 1"
+        if duration < 1 then invalid_arg "Fault.make: stall duration < 1";
+        if duration > max_int - at then invalid_arg "Fault.make: stall end overflows int"
       | Message_drop { at; _ } ->
         if at < 0 then invalid_arg "Fault.make: drop time < 0")
     events;
@@ -165,7 +166,7 @@ let parse_event topo s =
           let at_s = String.sub time_s 0 k in
           let dur_s = String.sub time_s (k + 1) (String.length time_s - k - 1) in
           match (parse_channel topo target, int_of at_s, int_of dur_s) with
-          | Ok channel, Ok at, Ok duration when duration >= 1 ->
+          | Ok channel, Ok at, Ok duration when duration >= 1 && duration <= max_int - at ->
             Ok (Transient_stall { channel; at; duration })
           | Ok _, Ok _, Ok _ -> Error (Printf.sprintf "bad stall duration in %S" s)
           | (Error e, _, _ | _, Error e, _ | _, _, Error e) -> Error e))

@@ -30,7 +30,8 @@ type plan
 
 val empty : plan
 val make : event list -> plan
-(** @raise Invalid_argument on negative times or non-positive durations. *)
+(** @raise Invalid_argument on negative times, non-positive durations, or a
+    stall whose end ([at + duration]) overflows [int]. *)
 
 val events : plan -> event list
 val is_empty : plan -> bool
@@ -87,7 +88,8 @@ val parse : Topology.t -> string -> (plan, string) result
     ["fail:a>b@10, stall:b>c@5+8, drop:m1@0"]:
 
     - [fail:SRC>DST\[#VC\]@T] -- permanent failure of the named channel;
-    - [stall:SRC>DST\[#VC\]@T+D] -- stall for [D] cycles starting at [T];
+    - [stall:SRC>DST\[#VC\]@T+D] -- stall for [D >= 1] cycles starting at
+      [T]; an end [T + D] past [max_int] is an error;
     - [drop:LABEL@T] -- source-side drop of message [LABEL] at [T].
 
     Node names are the topology's; [#VC] selects among parallel channels

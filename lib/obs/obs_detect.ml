@@ -1,19 +1,11 @@
-(* Online deadlock detection; see obs_detect.mli for the contract and
-   DESIGN.md section 13 for the bounded-latency argument.
+(* Deadlock detection over the functional wait-for graph; see
+   obs_detect.mli for the contract and DESIGN.md section 13 for the
+   bounded-latency argument.
 
-   The wait-for graph is functional (a blocked message wants exactly one
-   channel, a channel has exactly one owner), which buys two structural
-   facts the whole module leans on:
-
-   - The chronologically last edge of any cycle is a Wait_add: an
-     acquisition clears the acquirer's own out-edge, so ownership changes
-     alone cannot close a cycle -- the acquirer must block again first.
-     Walking from the label of each incoming Wait_add therefore finds
-     every cycle exactly when it closes.
-
-   - Distinct cycles are vertex-disjoint, so aborting any one member of a
-     knot breaks that knot completely and victims for different knots
-     never interfere.  "Minimal victim" is always a single message. *)
+   Distinct cycles of a functional graph are vertex-disjoint, so aborting
+   any one member of a knot breaks that knot completely and victims for
+   different knots never interfere: "minimal victim" is always a single
+   message. *)
 
 type victim_policy = Minimal_victim | Youngest | Oldest
 
@@ -51,229 +43,77 @@ type detection = {
   dk_class : deadlock_class;
 }
 
-(* A closed wait-for cycle awaiting quiescence confirmation.  [formed] is
-   the cycle of the last event touching any member; any member activity
-   resets it.  [mset] is the sorted member list used as dedupe key and
-   for O(members) membership tests. *)
-type candidate = {
-  mutable formed : int;
-  members : (string * Topology.channel) list;  (* rotated to smallest label *)
-  mset : string list;  (* sorted labels *)
-}
-
-type t = {
-  cfg : config;
-  owners : (Topology.channel, string) Hashtbl.t;  (* channel -> holder *)
-  waits : (string, Topology.channel * int) Hashtbl.t;  (* label -> wanted, since *)
-  mutable candidates : candidate list;
-  mutable stall_horizon : int;
-  mutable delivered : int;  (* Delivered events seen since Run_start *)
-}
-
-let create cfg =
-  if cfg.bound < 1 then invalid_arg "Obs_detect.create: bound < 1";
-  if cfg.backstop < 1 then invalid_arg "Obs_detect.create: backstop < 1";
-  {
-    cfg;
-    owners = Hashtbl.create 64;
-    waits = Hashtbl.create 64;
-    candidates = [];
-    stall_horizon = 0;
-    delivered = 0;
-  }
-
-let member label k = List.mem label k.mset
-let wants channel k = List.exists (fun (_, c) -> c = channel) k.members
-
-let kill t pred = t.candidates <- List.filter (fun k -> not (pred k)) t.candidates
-
-(* Any event naming a member proves the knot candidate was not yet
-   quiescent at [cycle]: restart its silence clock. *)
-let touch t label cycle =
-  List.iter (fun k -> if member label k then k.formed <- cycle) t.candidates
-
-(* Chase the functional graph from [start].  The walk terminates because
-   every visited label lands on [path] and a revisit stops it; on revisit
-   of [l] the cycle is the suffix of the walk from [l] -- which also
-   covers walks that merely run INTO a cycle not containing [start]. *)
-let walk t start =
-  let rec go path label =
-    match Hashtbl.find_opt t.waits label with
-    | None -> None
-    | Some (channel, _) -> (
-      match Hashtbl.find_opt t.owners channel with
-      | None -> None
-      | Some holder ->
-        let path = (label, channel) :: path in
-        if List.mem_assoc holder path then begin
-          let rec from = function
-            | (l, _) :: _ as xs when l = holder -> xs
-            | _ :: tl -> from tl
-            | [] -> []
-          in
-          Some (from (List.rev path))
-        end
-        else go path holder)
-  in
-  go [] start
-
-let rotate_to_smallest cycle =
-  let smallest =
-    List.fold_left (fun acc (l, _) -> min acc l) (fst (List.hd cycle)) cycle
-  in
-  let rec rot = function
-    | (l, _) :: _ as c when l = smallest -> c
-    | x :: tl -> rot (tl @ [ x ])
-    | [] -> []
-  in
-  rot cycle
-
-let feed t (e : Obs_event.t) =
-  match e with
-  | Run_start _ ->
-    Hashtbl.reset t.owners;
-    Hashtbl.reset t.waits;
-    t.candidates <- [];
-    t.stall_horizon <- 0;
-    t.delivered <- 0
-  | Fault { kind = Planned_stall; cycle; duration; _ } ->
-    t.stall_horizon <- max t.stall_horizon (cycle + duration)
-  | Fault _ -> ()
-  | Wait_add { cycle; label; channel; _ } -> (
-    (* A retargeted edge invalidates candidates built through the old
-       one (defensive: engines emit Wait_drop first). *)
-    (match Hashtbl.find_opt t.waits label with
-    | Some (c, _) when c <> channel -> kill t (member label)
-    | _ -> ());
-    Hashtbl.replace t.waits label (channel, cycle);
-    match walk t label with
-    | None -> ()
-    | Some cyc ->
-      let members = rotate_to_smallest cyc in
-      let mset = List.sort compare (List.map fst members) in
-      if not (List.exists (fun k -> k.mset = mset) t.candidates) then
-        t.candidates <- { formed = cycle; members; mset } :: t.candidates)
-  | Channel_acquire { cycle; label; channel; _ } ->
-    Hashtbl.replace t.owners channel label;
-    Hashtbl.remove t.waits label;
-    (* The acquirer's out-edge is gone and the channel's owner changed:
-       both break any candidate routed through them. *)
-    kill t (fun k -> member label k || wants channel k);
-    touch t label cycle
-  | Channel_release { cycle; label; channel } ->
-    Hashtbl.remove t.owners channel;
-    (* Releasing a wanted channel severs the cycle; releasing any other
-       channel (tail cascade) is still member activity. *)
-    kill t (wants channel);
-    touch t label cycle
-  | Wait_drop { label; _ } | Abort { label; _ } | Gave_up { label; _ } ->
-    Hashtbl.remove t.waits label;
-    kill t (member label)
-  | Delivered { label; _ } ->
-    t.delivered <- t.delivered + 1;
-    Hashtbl.remove t.waits label;
-    kill t (member label)
-  | Flit { cycle; label; _ } -> touch t label cycle
-  | Retry _ | Run_end _ | Deadlock_detected _ | Victim_aborted _ | Sanitizer_trip _
-  | Task_claim _ | Task_cancel _ | Search_start _ | Search_end _ -> ()
-
-(* Confirmation-time structural re-check: every member still wants its
-   recorded channel and every wanted channel is still held by the next
-   member around the cycle. *)
-let verify t members =
-  let arr = Array.of_list members in
-  let n = Array.length arr in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    let l, c = arr.(i) in
-    let l', _ = arr.((i + 1) mod n) in
-    (match Hashtbl.find_opt t.waits l with
-    | Some (c', _) when c' = c -> ()
-    | _ -> ok := false);
-    match Hashtbl.find_opt t.owners c with
-    | Some o when o = l' -> ()
-    | _ -> ok := false
+(* Walk [k] stamps the nodes it visits with [k + 1] and stops at the first
+   node already stamped or at a node without successor.  Stopping on its
+   own stamp closes a cycle, entered at that node; stopping on an earlier
+   walk's stamp joins a path whose cycle (if any) is already reported.  The
+   second pass retraces every walk to restore the zeros.  The local refs
+   never escape, so the loops allocate nothing. *)
+let find_cycles ~succ ~mark ~starts ~nstarts =
+  let found = ref [] in
+  for k = 0 to nstarts - 1 do
+    let stamp = k + 1 in
+    let v = ref starts.(k) in
+    while !v >= 0 && mark.(!v) = 0 do
+      mark.(!v) <- stamp;
+      v := succ.(!v)
+    done;
+    if !v >= 0 && mark.(!v) = stamp then found := !v :: !found
   done;
-  !ok
-
-let held_sorted t label =
-  Hashtbl.fold (fun c o acc -> if o = label then c :: acc else acc) t.owners []
-  |> List.sort compare
-
-let wait_since t label =
-  match Hashtbl.find_opt t.waits label with Some (_, s) -> s | None -> max_int
-
-(* All policies reduce to "smallest key wins" over a (int, int, label)
-   triple, so ties always fall through to the label and the choice is
-   independent of member order, hash layout, and domain count. *)
-let choose_victim t members =
-  let key l =
-    let s = wait_since t l in
-    match t.cfg.policy with
-    | Minimal_victim -> (List.length (held_sorted t l), -s, l)
-    | Youngest -> (0, -s, l)
-    | Oldest -> (0, s, l)
-  in
-  match List.map fst members with
-  | [] -> []
-  | l0 :: rest ->
-    [ snd (List.fold_left
-             (fun (bk, bl) l ->
-               let k = key l in
-               if k < bk then (k, l) else (bk, bl))
-             (key l0, l0) rest) ]
-
-let tick t ~now =
-  let ready, rest =
-    List.partition
-      (fun k -> now - max k.formed t.stall_horizon >= t.cfg.bound)
-      t.candidates
-  in
-  t.candidates <- rest;
-  List.filter_map
-    (fun k ->
-      if verify t k.members then
-        Some
-          {
-            dk_cycle = now;
-            dk_formed = k.formed;
-            dk_members = k.members;
-            dk_held = List.map (fun (l, _) -> (l, held_sorted t l)) k.members;
-            dk_victims = choose_victim t k.members;
-            (* a confirmed knot is a genuine wait cycle, never [Weak]; the
-               split is whether anyone else made it out before the knot
-               locked up (provisional -- the run-end kernel classification
-               is authoritative) *)
-            dk_class = (if t.delivered > 0 then Local else Global);
-          }
-      else None)
-    ready
-  |> List.sort (fun a b -> compare a.dk_members b.dk_members)
-
-(* Offline replay.  Plan-announcement Fault events carry their FUTURE
-   fire cycle, so they must not advance the replay clock. *)
-let event_now (e : Obs_event.t) =
-  match e with
-  | Fault { kind = Planned_failure | Planned_stall | Planned_drop; _ } -> None
-  | _ -> Obs_event.cycle_of e
-
-let scan cfg events =
-  let t = create cfg in
-  let dets = ref [] in
-  let now = ref 0 in
-  let step upto =
-    while !now < upto do
-      incr now;
-      dets := List.rev_append (List.rev (tick t ~now:!now)) !dets
+  for k = 0 to nstarts - 1 do
+    let v = ref starts.(k) in
+    while !v >= 0 && mark.(!v) <> 0 do
+      mark.(!v) <- 0;
+      v := succ.(!v)
     done
+  done;
+  List.rev !found
+
+let cycle_at succ e =
+  let rec go v acc = if v = e then List.rev acc else go succ.(v) (v :: acc) in
+  go succ.(e) [ e ]
+
+let cycles succ =
+  let n = Array.length succ in
+  find_cycles ~succ ~mark:(Array.make n 0) ~starts:(Array.init n Fun.id) ~nstarts:n
+  |> List.map (cycle_at succ)
+
+let rotate_to_min = function
+  | [] -> []
+  | x0 :: _ as cycle ->
+    let m = List.fold_left min x0 cycle in
+    let rec go before = function
+      | x :: rest when x <> m -> go (x :: before) rest
+      | from_min -> from_min @ List.rev before
+    in
+    go [] cycle
+
+let due cfg ~now ~formed ~stall_horizon = now - max formed stall_horizon >= cfg.bound
+
+(* All policies reduce to "smallest key wins" over an (int, int, label)
+   triple, so ties always fall through to the label and the choice is
+   independent of member order and domain count. *)
+let choose_victim policy members =
+  let key (l, _, held, since) =
+    match policy with
+    | Minimal_victim -> (List.length held, -since, l)
+    | Youngest -> (0, -since, l)
+    | Oldest -> (0, since, l)
   in
-  List.iter
-    (fun e ->
-      (match event_now e with Some c when c > !now -> step (c - 1); now := c | _ -> ());
-      feed t e)
-    events;
-  (* Trailing ticks: the stream stops at the final event but quiescent
-     candidates still need [bound] silent cycles (past any stall) to
-     confirm. *)
-  step (max !now t.stall_horizon + cfg.bound);
-  List.rev !dets
+  let _, _, l = List.fold_left (fun best m -> min best (key m)) (key (List.hd members)) members in
+  l
+
+let confirm cfg ~now ~formed ~delivered members =
+  let members = rotate_to_min members in
+  {
+    dk_cycle = now;
+    dk_formed = formed;
+    dk_members = List.map (fun (l, c, _, _) -> (l, c)) members;
+    dk_held = List.map (fun (l, _, held, _) -> (l, held)) members;
+    dk_victims = [ choose_victim cfg.policy members ];
+    (* a confirmed knot is a genuine wait cycle, never [Weak]; the split is
+       whether anyone else made it out before the knot locked up
+       (provisional -- the run-end kernel classification is
+       authoritative) *)
+    dk_class = (if delivered then Local else Global);
+  }

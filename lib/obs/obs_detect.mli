@@ -1,34 +1,31 @@
-(** Online deadlock detection over the live [Obs_event] stream.
+(** Deadlock detection over the message wait-for graph: the detector's
+    configuration and result types, victim choice, and the one cycle finder
+    every wait-for consumer shares.
 
-    The detector maintains the message wait-for graph incrementally from
-    acquire / release / wait-edge / abort events.  Because a blocked
-    message wants exactly one channel at a time and a channel has exactly
-    one owner, the graph
+    A blocked message wants exactly one channel at a time and a channel has
+    exactly one owner, so the graph
 
       waiter --wants--> channel --held by--> next waiter
 
-    is functional (out-degree at most one per message), so every cycle is
-    vertex-disjoint from every other and a single walk from the label of
-    each incoming wait edge finds any cycle that edge closes -- no global
-    rescan is ever needed.  A freshly closed cycle is only a {e candidate}:
-    worm tails may still cascade forward and release the very channel the
-    cycle turns on.  A candidate is confirmed as a genuine deadlock knot
-    once its members have been silent (no flit, acquire, release, or edge
-    change touching them) for [bound] consecutive cycles AND the cycle
-    re-verifies structurally against the live tables at confirmation time.
-    Resolution of a real wait cycle necessarily emits member events, so
-    [bound] cycles of member silence over an intact cycle implies the knot
-    is permanent; detection latency is bounded by [bound] cycles past the
-    last member activity.
+    is {e functional} (out-degree at most one per message): every cycle is
+    vertex-disjoint from every other, and one walk from each message finds
+    them all.  The engine's [Detect] trigger runs {!find_cycles} over its own
+    wait tables at the end of every cycle, the run-end deadlock witness
+    ([Engine.deadlock_info.d_wait_cycle]) and [Obs_postmortem] run
+    {!cycles}; nothing rebuilds the graph from a replayed event stream.
 
-    Planned stalls announced at [Run_start] push out a {e stall horizon}:
-    no candidate confirms before every planned stall has expired, which
-    prevents false positives from messages parked behind a stalled link.
+    A wait cycle is only confirmed as a knot ({!due}) once it has been quiet
+    for [bound] cycles: worm tails may still cascade forward and release
+    the very channel the cycle turns on.  Resolution of a real wait cycle
+    necessarily moves a member, so [bound] cycles of member silence over an
+    intact cycle imply the knot is permanent; detection latency is bounded
+    by [bound] cycles past the last member activity.  Planned stalls push
+    out a {e stall horizon}: no knot confirms before every planned stall has
+    expired, which prevents false positives from messages parked behind a
+    stalled link.
 
-    Determinism contract: given the same event stream, [tick] returns the
-    same detections with the same victims regardless of platform or domain
-    count -- candidate order, cycle rotation, and victim tie-breaks all
-    resolve through label comparisons, never hash or allocation order. *)
+    Determinism: member rotation and victim tie-breaks all resolve through
+    label comparisons, never hash or allocation order. *)
 
 (** How to choose the message(s) to abort out of a confirmed knot.  Every
     cycle of the functional wait-for graph is broken by removing any one
@@ -69,8 +66,8 @@ val deadlock_class_string : deadlock_class -> string
 
 type config = {
   bound : int;
-      (** Confirm a candidate cycle after this many member-quiet cycles.
-          Also the detection-latency guarantee: a genuine knot is flagged
+      (** Confirm a wait cycle after this many member-quiet cycles.  Also
+          the detection-latency guarantee: a genuine knot is flagged
           within [bound] cycles of its last member activity.  Must be
           >= 1. *)
   backstop : int;
@@ -104,25 +101,48 @@ type detection = {
           ([Engine.deadlock_info.d_class]) is authoritative. *)
 }
 
-type t
+(** {1 The cycle finder} *)
 
-val create : config -> t
-(** Raises [Invalid_argument] if [bound < 1] or [backstop < 1]. *)
+val find_cycles :
+  succ:int array -> mark:int array -> starts:int array -> nstarts:int -> int list
+(** [find_cycles ~succ ~mark ~starts ~nstarts] walks the functional graph
+    [succ] ([succ.(v) = -1]: no successor) from [starts.(0)], ...,
+    [starts.(nstarts - 1)] in that order (negative starts are skipped) and
+    returns, in discovery order, the {e entry node} of every cycle a walk
+    reaches: the first node of the walk that the walk revisits.  Each cycle
+    is reported once, also when a walk merely runs into it; its members in
+    walk order are the entry node, its successor, and so on back to the
+    entry ({!cycle_at}).
+    [mark] is scratch of at least [Array.length succ] zeros and is left
+    all zero, so a caller running the finder every cycle allocates nothing
+    unless a cycle exists.  O(nodes visited). *)
 
-val feed : t -> Obs_event.t -> unit
-(** Consume one event.  O(1) except when a [Wait_add] closes a cycle, in
-    which case one walk bounded by the number of blocked messages runs.
-    [Run_start] resets all detector state. *)
+val cycle_at : int array -> int -> int list
+(** [cycle_at succ e] lists the cycle through [e] in walk order, starting at
+    [e].  [e] must lie on a cycle of [succ]. *)
 
-val tick : t -> now:int -> detection list
-(** End-of-cycle check: confirm and return every candidate whose members
-    have been quiet for [bound] cycles (and past the stall horizon),
-    re-verified against the live wait/ownership tables.  Confirmed and
-    stale candidates are both retired.  Results are sorted by smallest
-    member label. *)
+val cycles : int array -> int list list
+(** Every cycle of [succ], each in walk order from its entry node, walking
+    from nodes [0, 1, ...] in order. *)
 
-val scan : config -> Obs_event.t list -> detection list
-(** Offline replay: feed a recorded stream, ticking at each cycle
-    boundary and for [bound] trailing cycles past the final event so
-    candidates that were quiescent when the run ended still confirm.
-    Plan-announcement [Fault] events do not advance the replay clock. *)
+val rotate_to_min : 'a list -> 'a list
+(** Rotate a cycle to start at its smallest element. *)
+
+(** {1 Confirmation} *)
+
+val due : config -> now:int -> formed:int -> stall_horizon:int -> bool
+(** A wait cycle whose last member activity was at [formed] is a confirmed
+    knot at [now]: [now - max formed stall_horizon >= bound]. *)
+
+val confirm :
+  config ->
+  now:int ->
+  formed:int ->
+  delivered:bool ->
+  (string * Topology.channel * Topology.channel list * int) list ->
+  detection
+(** [confirm cfg ~now ~formed ~delivered members] names a confirmed knot
+    and its victim.  [members] are (label, wanted channel, held channels
+    (sorted), cycle its wait edge appeared) around the cycle, in any
+    rotation; [delivered] says whether any message was delivered before
+    confirmation. *)

@@ -8,6 +8,8 @@
 
      waiter --wants--> channel --held by--> next waiter
 
+   found by Obs_detect's shared cycle finder.
+
    A holder may occupy several channels (a stretched worm), so the wanted
    channels alone are not necessarily CDG-adjacent: the dependency chain
    runs through the holder's held channels.  Worms acquire channels in
@@ -51,46 +53,6 @@ type t = {
 }
 
 let knot_channels t = t.pm_cycle
-
-(* Find the cycle of the partial functional graph [next] (at most one
-   successor per label), deterministically: chase from every label in
-   sorted order, first cycle found wins, rotated to start at its smallest
-   label. *)
-let find_knot ~next labels =
-  let visited = Hashtbl.create 16 in
-  let rec drop_until l = function
-    | (l', _) :: _ as xs when l' = l -> xs
-    | _ :: tl -> drop_until l tl
-    | [] -> []
-  in
-  (* [path] is the current walk, newest first. *)
-  let rec walk path label =
-    if List.mem_assoc label path then Some (drop_until label (List.rev path))
-    else if Hashtbl.mem visited label then None  (* joins an earlier, cycle-free walk *)
-    else begin
-      Hashtbl.add visited label ();
-      match next label with
-      | Some (channel, holder) -> walk ((label, channel) :: path) holder
-      | None -> None
-    end
-  in
-  let rec first = function
-    | [] -> []
-    | l :: rest -> (
-      match walk [] l with
-      | Some cycle -> cycle
-      | None -> first rest)
-  in
-  match first labels with
-  | [] -> []
-  | cycle ->
-    let smallest = List.fold_left (fun acc (l, _) -> min acc l) (fst (List.hd cycle)) cycle in
-    let rec rotate = function
-      | (l, _) :: _ as c when l = smallest -> c
-      | x :: tl -> rotate (tl @ [ x ])
-      | [] -> []
-    in
-    rotate cycle
 
 let analyze ?rt events =
   let owners : (Topology.channel, string * int) Hashtbl.t = Hashtbl.create 16 in
@@ -165,15 +127,28 @@ let analyze ?rt events =
       waits []
     |> List.sort (fun a b -> compare a.we_label b.we_label)
   in
-  let next label =
-    match Hashtbl.find_opt waits label with
-    | None -> None
-    | Some (channel, _, _) -> (
-      match Hashtbl.find_opt owners channel with
-      | Some (holder, _) -> Some (channel, holder)
-      | None -> None)
+  (* The knot is the first cycle of the functional graph waiter -> holder
+     of its wanted channel, walking from the waiters in label order (their
+     index order in [waiters]), rotated to start at its smallest label. *)
+  let knot =
+    let waiters = Array.of_list wait_edges in
+    let index = Hashtbl.create (Array.length waiters) in
+    Array.iteri (fun i w -> Hashtbl.replace index w.we_label i) waiters;
+    let succ =
+      Array.map
+        (fun w ->
+          match Hashtbl.find_opt owners w.we_channel with
+          | Some (holder, _) -> Option.value ~default:(-1) (Hashtbl.find_opt index holder)
+          | None -> -1)
+        waiters
+    in
+    match Obs_detect.cycles succ with
+    | [] -> []
+    | cycle :: _ ->
+      List.map
+        (fun i -> (waiters.(i).we_label, waiters.(i).we_channel))
+        (Obs_detect.rotate_to_min cycle)
   in
-  let knot = find_knot ~next (List.map (fun w -> w.we_label) wait_edges) in
   (* Expand each wanted channel into its holder's held suffix: the
      still-open occupancy entries of a label, in acquisition (= path)
      order, from the wanted channel onward. *)

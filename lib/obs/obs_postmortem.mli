@@ -2,8 +2,10 @@
 
     On a [Deadlock] or [Recovered] outcome, fold the recorded events into
     the terminal wait-for structure: outstanding wait edges, channel
-    ownership, the knot (the cycle of waiter → wanted channel → holder),
-    full per-channel occupancy history, and abort counts.  Expanding each
+    ownership, the knot (the cycle of waiter → wanted channel → holder,
+    found by {!Obs_detect.cycles}, the finder the engine's detector and
+    deadlock witness share), full per-channel occupancy history, and abort
+    counts.  Expanding each
     wanted channel into its holder's held chain (worms acquire channels in
     path order, so consecutive held channels are CDG edges, as is last-held
     → wanted) turns the knot into a CDG cycle in dependency order, so when
@@ -55,8 +57,8 @@ type t = {
 }
 
 val analyze : ?rt:Routing.t -> Obs_event.t list -> t
-(** Deterministic: all result lists are sorted, the knot is found by
-    chasing from labels in sorted order. *)
+(** Deterministic: all result lists are sorted, the knot is the first
+    cycle reached walking from the waiters in label order. *)
 
 val knot_channels : t -> Topology.channel list
 (** [pm_cycle]: the knot's channel dependency cycle (a CDG cycle whenever

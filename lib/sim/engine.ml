@@ -263,20 +263,8 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
         is pure observation -- the run takes identical decisions with any
         sink installed (QCheck-checked in test_obs). -- *)
   let user_obs = match obs with Some _ as s -> s | None -> Obs.current () in
-  (* -- online detection: a [Detect] trigger instantiates the detector and
-        forces event construction for this run (the detector IS engine
-        semantics, so unlike user sinks its cost is accepted when chosen);
-        with [Watchdog] and no sink, the hot path stays event-free. -- *)
-  let det =
-    match config.recovery with
-    | Some { trigger = Detect dcfg; _ } -> Some (Obs_detect.create dcfg)
-    | Some { trigger = Watchdog _; _ } | None -> None
-  in
-  let obs_on = user_obs <> None || det <> None in
-  let emit e =
-    (match det with Some d -> Obs_detect.feed d e | None -> ());
-    match user_obs with Some s -> s.Obs.emit e | None -> ()
-  in
+  let obs_on = user_obs <> None in
+  let emit e = match user_obs with Some s -> s.Obs.emit e | None -> () in
   if obs_on then begin
     emit
       (Obs_event.Run_start
@@ -366,8 +354,39 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
   let wait_since_ = Array.make nmsg (if oblivious then 0 else max_int) in
   let awarded_ = Array.make nmsg (-1) in
   let wait_edge_ = Array.make nmsg (-1) in
+  (* adaptive: cycle the current [wait_edge_] appeared (oblivious runs read
+     [wait_since_], which is stamped exactly when [waiting_] changes) *)
+  let edge_at_ = Array.make (if oblivious then 0 else nmsg) 0 in
   let forced_ = Array.make nmsg [||] in
   let owner = Array.make nchan (-1) in
+  (* the advertised wait-for edge and the cycle it appeared *)
+  let wait_edge j = if oblivious then waiting_.(j) else wait_edge_.(j) in
+  let edge_since j = if oblivious then wait_since_.(j) else edge_at_.(j) in
+  (* -- online detection ([Detect] trigger): the end-of-cycle tick walks the
+        wait-for graph straight from the tables above -- [wait_edge] to the
+        wanted channel's [owner] -- into per-run scratch rows, so it builds
+        no event and allocates nothing until a cycle exists.  No knot
+        confirms before every planned stall has expired. -- *)
+  let detect =
+    match config.recovery with
+    | Some ({ trigger = Detect dcfg; _ } as r) -> Some (dcfg, r)
+    | Some { trigger = Watchdog _; _ } | None -> None
+  in
+  let det_n = if Option.is_some detect then nmsg else 0 in
+  let succ_ = Array.make det_n (-1) in
+  let mark_ = Array.make det_n 0 in
+  let stall_horizon =
+    List.fold_left
+      (fun acc -> function
+        | Fault.Transient_stall { at; duration; _ } -> max acc (at + duration)
+        | Fault.Link_failure _ | Fault.Message_drop _ -> acc)
+      0 (Fault.events config.faults)
+  in
+  (* (sorted members, formed) of every knot confirmed so far: each is
+     confirmed at most once (confirming one aborts a member, whose new edge
+     postdates [formed], so this only guards a victim that was not
+     aborted) *)
+  let confirmed = ref [] in
   (* arbitration rank per schedule position.  The priority variant used to
      build a per-run Hashtbl and hash every label; a sorted index over the
      order list with a leftmost binary search gives the same
@@ -837,12 +856,12 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
                    (if oblivious then "path" else "carved path"))
           end)
         owner;
-      (* E106: wait-for stream consistency.  An advertised wait edge from
-         a message that holds nothing is a dangling edge the online
-         detector would chase into nowhere -- only a not-yet-injected
-         source-side waiter may legitimately wait while holding nothing. *)
+      (* E106: wait-edge consistency.  An advertised wait edge from a
+         message that holds nothing is a dangling edge the detection tick
+         would walk into nowhere -- only a not-yet-injected source-side
+         waiter may legitimately wait while holding nothing. *)
       for j = 0 to nmsg - 1 do
-        let edge = if oblivious then waiting_.(j) else wait_edge_.(j) in
+        let edge = wait_edge j in
         if edge >= 0 then begin
           if fate_.(j) <> f_live then
             viol "E106" j
@@ -877,8 +896,8 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
     end
     else begin
       (* retract the advertised wait-for edge: without this, a message
-         aborted mid-wait leaves a dangling edge on the stream that the
-         online detector would keep chasing (sanitizer E106) *)
+         aborted mid-wait leaves a dangling edge that the detection tick
+         would keep walking (sanitizer E106) *)
       if obs_on && wait_edge_.(j) >= 0 then
         emit
           (Obs_event.Wait_drop
@@ -963,6 +982,74 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
              { cycle = t; label = label j;
                latency = (if injected_at_.(j) >= 0 then t - injected_at_.(j) else t) })
     end
+  in
+  (* -- online detection: confirm the wait-for knots that have been quiet
+        for [bound] cycles and abort only each one's policy-chosen victim,
+        so the rest of the knot unwinds through the freed channels instead
+        of being drained wholesale like a watchdog abort. -- *)
+  let detect_tick dcfg r t =
+    (* every member of a wait cycle holds the channel its predecessor
+       wants, so the walks start from the channel owners: O(channels) per
+       cycle, however many sleeping sources the live list still carries *)
+    for c = 0 to nchan - 1 do
+      let j = owner.(c) in
+      if j >= 0 then begin
+        let e = wait_edge j in
+        succ_.(j) <- (if e >= 0 then owner.(e) else -1)
+      end
+    done;
+    match Obs_detect.find_cycles ~succ:succ_ ~mark:mark_ ~starts:owner ~nstarts:nchan with
+    | [] -> ()
+    | entries ->
+      (* a waiter's only progress that keeps it in the cycle is a flit move
+         or a channel release behind its header *)
+      let active_at j =
+        max (edge_since j)
+          (if Bytes.unsafe_get progressed_ j <> '\000' then t else last_progress_.(j))
+      in
+      let held j =
+        let acc = ref [] in
+        for c = nchan - 1 downto 0 do
+          if owner.(c) = j then acc := c :: !acc
+        done;
+        !acc
+      in
+      let delivered = Array.exists (fun d -> d >= 0) delivered_at_ in
+      List.filter_map
+        (fun e ->
+          let members = Obs_detect.cycle_at succ_ e in
+          let formed = List.fold_left (fun acc j -> max acc (active_at j)) min_int members in
+          let key = (List.sort compare members, formed) in
+          if Obs_detect.due dcfg ~now:t ~formed ~stall_horizon && not (List.mem key !confirmed)
+          then begin
+            confirmed := key :: !confirmed;
+            Some
+              ( Obs_detect.confirm dcfg ~now:t ~formed ~delivered
+                  (List.map (fun j -> (label j, wait_edge j, held j, edge_since j)) members),
+                members )
+          end
+          else None)
+        entries
+      |> List.sort (fun ((a : Obs_detect.detection), _) (b, _) ->
+             compare a.dk_members b.dk_members)
+      |> List.iter (fun ((dk : Obs_detect.detection), members) ->
+             if obs_on then
+               emit
+                 (Obs_event.Deadlock_detected
+                    { cycle = t; members = List.map fst dk.dk_members;
+                      channels = List.map snd dk.dk_members; victims = dk.dk_victims });
+             (* knots are vertex-disjoint, so every victim is still a live
+                waiter when its turn comes *)
+             List.iter
+               (fun v ->
+                 perturbed := true;
+                 if obs_on then
+                   emit
+                     (Obs_event.Victim_aborted
+                        { cycle = t; label = v;
+                          policy = Obs_detect.victim_policy_string dcfg.Obs_detect.policy });
+                 abort_retry (List.find (fun j -> label j = v) members) r t ~reason:"deadlock")
+               dk.dk_victims)
   in
   let cycle = ref 0 in
   let outcome = ref None in
@@ -1159,7 +1246,10 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
              later claims, so updating it here is equivalent to the separate
              post-claim sweep the event stream needs (below) *)
           let c = first_opt_.(j) in
-          if c >= 0 && c <> wait_edge_.(j) then wait_edge_.(j) <- c
+          if c >= 0 && c <> wait_edge_.(j) then begin
+            wait_edge_.(j) <- c;
+            edge_at_.(j) <- t
+          end
         end
       done;
       (* wait-for edge maintenance: a claimant that won nothing advertises
@@ -1184,7 +1274,8 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
                 (Obs_event.Wait_add
                    { cycle = t; label = label j; channel = c;
                      holder = (if owner.(c) >= 0 then Some (label owner.(c)) else None) });
-              wait_edge_.(j) <- c
+              wait_edge_.(j) <- c;
+              edge_at_.(j) <- t
             end
           end
         done
@@ -1404,39 +1495,7 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
           | Some r -> abort_retry j r t ~reason:"drop"
         end
       done;
-    (* -- online detection: end-of-cycle tick confirms quiescent wait-for
-          knots; only the policy-chosen victim is aborted, so the rest of
-          the knot unwinds through the freed channels instead of being
-          drained wholesale like a watchdog abort. -- *)
-    (match (config.recovery, det) with
-    | Some r, Some d ->
-      let policy_name =
-        match r.trigger with
-        | Detect c -> Obs_detect.victim_policy_string c.Obs_detect.policy
-        | Watchdog _ -> "minimal"
-      in
-      List.iter
-        (fun (dk : Obs_detect.detection) ->
-          emit
-            (Obs_event.Deadlock_detected
-               { cycle = t; members = List.map fst dk.Obs_detect.dk_members;
-                 channels = List.map snd dk.Obs_detect.dk_members;
-                 victims = dk.Obs_detect.dk_victims });
-          List.iter
-            (fun v ->
-              let vm = ref (-1) in
-              for j = 0 to nmsg - 1 do
-                if label j = v then vm := j
-              done;
-              let j = !vm in
-              if j >= 0 && active j then begin
-                perturbed := true;
-                emit (Obs_event.Victim_aborted { cycle = t; label = v; policy = policy_name });
-                abort_retry j r t ~reason:"deadlock"
-              end)
-            dk.Obs_detect.dk_victims)
-        (Obs_detect.tick d ~now:t)
-    | (Some _ | None), _ -> ());
+    (match detect with Some (dcfg, r) -> detect_tick dcfg r t | None -> ());
     (match config.recovery with
     | None -> ()
     | Some r ->
@@ -1463,9 +1522,8 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
       st.Obs_stats.st_ph_advance <- st.Obs_stats.st_ph_advance + nact;
       if have_faults then
         st.Obs_stats.st_ph_fault <- st.Obs_stats.st_ph_fault + !nlive;
-      (match det with
-      | Some _ -> st.Obs_stats.st_ph_detect <- st.Obs_stats.st_ph_detect + 1
-      | None -> ());
+      if Option.is_some detect then
+        st.Obs_stats.st_ph_detect <- st.Obs_stats.st_ph_detect + 1;
       let owned = st.Obs_stats.st_owned in
       for c = 0 to nchan - 1 do
         if owner.(c) >= 0 then owned.(c) <- owned.(c) + 1
@@ -1585,35 +1643,15 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
             (List.init nmsg (fun j -> j))
         in
         (* follow the wait-for edges (through the first option when
-           adaptive) from any blocked message to find a cycle *)
+           adaptive) from the blocked messages, in schedule order, to the
+           first cycle *)
         let wait_cycle =
-          let next i =
-            let c = first_want_chan i t in
-            if c >= 0 && owner.(c) >= 0 && owner.(c) <> i then Some owner.(c) else None
+          let succ =
+            Array.init nmsg (fun i ->
+                let c = first_want_chan i t in
+                if c >= 0 && owner.(c) >= 0 && owner.(c) <> i then owner.(c) else -1)
           in
-          let start =
-            List.filter (fun j -> delivered_at_.(j) < 0) (List.init nmsg (fun j -> j))
-          in
-          let rec chase seen i =
-            match next i with
-            | None -> None
-            | Some j ->
-              if List.mem j seen then begin
-                (* cut the prefix before the first occurrence of j *)
-                let rec drop = function
-                  | [] -> []
-                  | x :: rest -> if x = j then x :: rest else drop rest
-                in
-                Some (drop (List.rev (i :: seen)))
-              end
-              else chase (i :: seen) j
-          in
-          let rec try_starts = function
-            | [] -> []
-            | s :: rest -> (
-              match chase [] s with Some c -> List.map label c | None -> try_starts rest)
-          in
-          try_starts start
+          match Obs_detect.cycles succ with c :: _ -> List.map label c | [] -> []
         in
         let occupancy =
           let acc = ref [] in

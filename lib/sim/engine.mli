@@ -103,13 +103,16 @@ type trigger =
           (no flit moved, no channel acquired); >= 1.  Blunt: every
           member of a deadlock knot times out and is drained. *)
   | Detect of Obs_detect.config
-      (** online wait-for cycle detection: an {!Obs_detect.t} consumes
-          this run's event stream and confirms genuine knots within
-          [bound] cycles of quiescence; only the policy-chosen victim is
-          aborted, so the rest of the knot unwinds through the freed
-          channels.  [backstop] keeps a watchdog sweep alive for acyclic
-          wedges (e.g. a worm parked behind a failed link), which emit no
-          wait cycle to detect. *)
+      (** online wait-for cycle detection: at the end of every cycle the
+          kernel runs {!Obs_detect.find_cycles} over its own wait tables
+          (each message's advertised edge to the wanted channel's owner)
+          and confirms a cycle as a knot once [bound] cycles have passed
+          since its last member activity and the last planned stall
+          ({!Obs_detect.due}); only the policy-chosen victim is aborted,
+          so the rest of the knot unwinds through the freed channels.
+          [backstop] keeps a watchdog sweep alive for acyclic wedges
+          (e.g. a worm parked behind a failed link), which have no wait
+          cycle to detect. *)
 
 type recovery = {
   trigger : trigger;
@@ -280,10 +283,10 @@ val run :
     (or the [WORMHOLE_SANITIZE] environment variable).
 
     [obs], [stats] and [sanitizer] are pure observation: the run takes
-    identical decisions with any of them attached.  A [Detect] recovery
-    trigger is different: the detector is part of the engine's semantics,
-    so it is fed the event stream unconditionally (event construction is
-    forced for the run even with no sink installed).
+    identical decisions with any of them attached.  That includes a
+    [Detect] recovery trigger: the detector reads the kernel's own wait
+    tables, so it needs no events, and a detecting run without a sink
+    builds none.
 
     Fault semantics: a channel that is down ({!Fault.down}) accepts no new
     acquisition and moves no flits in or out; a header waits for its (down)

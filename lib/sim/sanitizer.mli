@@ -19,9 +19,10 @@
       message is live, and the watchdog bound (the backstop under a
       [Detect] trigger) holds after every abort
     - [E106] wait-edge/hold consistency: a message advertising a wait-for
-      edge on the event stream holds at least one channel unless it has
-      not injected yet; abandoned messages advertise no edge (a dangling
-      edge would send the online detector chasing a ghost)
+      edge holds at least one channel unless it has not injected yet;
+      abandoned messages advertise no edge (the [Detect] tick and the
+      deadlock witness walk these edges, and a dangling one would name a
+      ghost as a knot's waiter)
 
     The checks are pure observers -- a sanitized run takes the same
     decisions as an unsanitized one, only slower.

@@ -1,6 +1,6 @@
-(* Online deadlock detection: the Obs_detect incremental wait-for cycle
-   detector, offline via [scan] over recorded event streams and online via
-   the engine's [Detect] recovery trigger. *)
+(* Online deadlock detection: the engine's [Detect] recovery trigger, which
+   confirms wait-for knots from the kernel's own wait tables, checked
+   against recovery-free ground truth, the watchdog, and the EXP-D1 report. *)
 
 let check = Alcotest.check
 let cb = Alcotest.bool
@@ -29,8 +29,8 @@ let delivered_labels = function
       stats
   | Engine.Deadlock _ -> []
 
-(* ---- offline ground truth (fault-free, so every Deadlock outcome carries
-   a genuine wait-for knot) ---- *)
+(* ---- ground truth: Detect-trigger runs against recovery-free runs
+   (fault-free, so every Deadlock outcome carries a genuine wait-for knot) ---- *)
 
 let schedule_gen coords =
   let n = Topology.num_nodes coords.Builders.topo in
@@ -60,48 +60,116 @@ let ring5 = Builders.ring ~unidirectional:true 5
 let ring5_rt = Ring_routing.clockwise ring5
 let mesh3 = Builders.mesh [ 3; 3 ]
 let mesh3_rt = Dimension_order.mesh mesh3
+let detect_recovery = { Engine.default_recovery with trigger = Engine.Detect dcfg }
+let watchdog_recovery = { Engine.default_recovery with trigger = Engine.Watchdog 32 }
+let with_recovery r = { Engine.default_config with recovery = Some r }
 
-let prop_scan_matches_outcome =
+let detections events =
+  List.filter_map
+    (function Obs_event.Deadlock_detected { cycle; _ } -> Some cycle | _ -> None)
+    events
+
+let detect_run rt sched = recorded_run ~config:(with_recovery detect_recovery) rt sched
+
+let prop_detect_matches_outcome =
   (* the detector's completeness/soundness contract against the engine's own
-     verdict: every Deadlock outcome is confirmed within the latency bound of
-     the cycle the engine declares the state permanently blocked, and runs
-     that deliver (or cut off) never produce a detection *)
-  QCheck.Test.make ~name:"scan flags exactly the Deadlock outcomes, within the bound"
+     verdict: a run detects iff its recovery-free twin deadlocks, and the
+     first detection lands within the latency bound of the cycle the twin
+     declares the state permanently blocked *)
+  QCheck.Test.make ~name:"Detect fires exactly on the Deadlock outcomes, within the bound"
     ~count:150 (schedule_gen ring5)
     (fun sched ->
-      let out, events = recorded_run ring5_rt sched in
-      let dets = Obs_detect.scan dcfg events in
-      match out with
-      | Engine.Deadlock d ->
-        dets <> []
-        && List.exists
-             (fun (k : Obs_detect.detection) -> k.dk_cycle <= d.Engine.d_cycle + bound)
-             dets
-      | Engine.All_delivered _ | Engine.Cutoff _ -> dets = []
-      | Engine.Recovered _ -> false)
+      let _, events = detect_run ring5_rt sched in
+      match (Engine.run ring5_rt sched, detections events) with
+      | Engine.Deadlock d, first :: _ -> first <= d.Engine.d_cycle + bound
+      | Engine.Deadlock _, [] -> false
+      | (Engine.All_delivered _ | Engine.Cutoff _), dets -> dets = []
+      | Engine.Recovered _, _ -> false)
 
 let prop_no_detection_on_acyclic =
   QCheck.Test.make ~name:"acyclic mesh runs never trip the detector" ~count:100
     (schedule_gen mesh3)
     (fun sched ->
-      let _, events = recorded_run mesh3_rt sched in
-      Obs_detect.scan dcfg events = [])
+      let _, events = detect_run mesh3_rt sched in
+      detections events = [])
 
-let prop_scan_deterministic =
-  QCheck.Test.make ~name:"scan is a pure function of the event stream" ~count:50
-    (schedule_gen ring5)
-    (fun sched ->
-      let _, events = recorded_run ring5_rt sched in
-      Obs_detect.scan dcfg events = Obs_detect.scan dcfg events)
+let prop_detect_deterministic =
+  QCheck.Test.make ~name:"Detect runs replay identically" ~count:50 (schedule_gen ring5)
+    (fun sched -> detect_run ring5_rt sched = detect_run ring5_rt sched)
+
+(* ---- the shared cycle finder, exhaustively on small graphs ---- *)
+
+(* Reference answers by brute force: [v] lies on a cycle iff iterating
+   [succ] from it comes back within [n] steps, and the cycle is its orbit;
+   a walk from [s] runs into the cycle whose node it is the first to
+   revisit. *)
+let orbit succ v =
+  let rec go w acc = if w = v then List.rev acc else go succ.(w) (w :: acc) in
+  go succ.(v) [ v ]
+
+let brute_cycles succ =
+  let n = Array.length succ in
+  let on_cycle v =
+    let rec go w k = k <= n && w >= 0 && (w = v || go succ.(w) (k + 1)) in
+    go succ.(v) 1
+  in
+  List.filter on_cycle (List.init n Fun.id)
+  |> List.map (fun v -> List.sort compare (orbit succ v))
+  |> List.sort_uniq compare
+
+let brute_entry succ s =
+  let rec go v seen =
+    if v < 0 then [] else if List.mem v seen then [ v ] else go succ.(v) (v :: seen)
+  in
+  go s []
+
+let in_walk_order succ = function
+  | [] -> false
+  | e :: _ as c ->
+    let rec ok = function
+      | [ last ] -> succ.(last) = e
+      | a :: (b :: _ as tl) -> succ.(a) = b && ok tl
+      | [] -> false
+    in
+    ok c && List.length (List.sort_uniq compare c) = List.length c
+
+let test_finder_exhaustive () =
+  let arrays = ref 0 in
+  for n = 1 to 6 do
+    let succ = Array.make n (-1) and mark = Array.make n 0 in
+    let rec each i =
+      if i = n then begin
+        incr arrays;
+        let found = Obs_detect.cycles succ in
+        if not (List.for_all (in_walk_order succ) found) then
+          Alcotest.failf "cycle out of walk order for succ [%s]"
+            (String.concat ";" (Array.to_list (Array.map string_of_int succ)));
+        if List.sort compare (List.map (List.sort compare) found) <> brute_cycles succ then
+          Alcotest.failf "cycle set differs for succ [%s]"
+            (String.concat ";" (Array.to_list (Array.map string_of_int succ)));
+        for s = 0 to n - 1 do
+          let got = Obs_detect.find_cycles ~succ ~mark ~starts:[| -1; s |] ~nstarts:2 in
+          if got <> brute_entry succ s || Array.exists (fun m -> m <> 0) mark then
+            Alcotest.failf "walk from %d misreported for succ [%s]" s
+              (String.concat ";" (Array.to_list (Array.map string_of_int succ)))
+        done
+      end
+      else
+        for v = -1 to n - 1 do
+          succ.(i) <- v;
+          each (i + 1)
+        done
+    in
+    each 0
+  done;
+  (* (n + 1)^n successor arrays for n = 1..6 *)
+  check Alcotest.int "successor arrays checked" 126_125 !arrays
 
 (* ---- online: the Detect trigger on the torus tornado knot ---- *)
 
 let torus5 = Builders.torus [ 5; 5 ]
 let torus5_rt = Dimension_order.torus torus5
 let tornado = Traffic.permutation_schedule (Traffic.tornado torus5) ~coords:torus5 ~length:8
-let detect_recovery = { Engine.default_recovery with trigger = Engine.Detect dcfg }
-let watchdog_recovery = { Engine.default_recovery with trigger = Engine.Watchdog 32 }
-let with_recovery r = { Engine.default_config with recovery = Some r }
 
 let tornado_runs =
   lazy
@@ -258,17 +326,42 @@ let test_exp_detect_domains () =
   check Alcotest.string "byte-identical output" out1 out4;
   check cb "all claims hold" true (List.for_all (fun (r : Experiments.row) -> r.x_ok) rows1)
 
+(* The EXP-D1 report, as [run_experiments exp-detect --quick] prints it up to
+   the campaign verdict line, pinned byte for byte. *)
+let test_exp_detect_golden () =
+  let out, rows = capture (Experiments.exp_detect ~quick:true) in
+  let report =
+    Printf.sprintf "%s\n=== Summary ===\n%s\nall %d claims reproduced\n" out
+      (Experiments.summary_table rows) (List.length rows)
+  in
+  let ic = open_in_bin "golden/exp-detect-quick.txt" in
+  let golden =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  check Alcotest.string "golden/exp-detect-quick.txt" golden report
+
 let () =
   Alcotest.run "detect"
     [
       ( "campaign",
-        [ Alcotest.test_case "exp-detect identical at 1 and 4 domains" `Quick
-            test_exp_detect_domains ] );
-      ( "offline-scan",
         [
-          qtest prop_scan_matches_outcome;
+          Alcotest.test_case "exp-detect identical at 1 and 4 domains" `Quick
+            test_exp_detect_domains;
+          Alcotest.test_case "exp-detect report matches the golden" `Quick
+            test_exp_detect_golden;
+        ] );
+      ( "finder",
+        [
+          Alcotest.test_case "every successor array on <= 6 nodes" `Quick
+            test_finder_exhaustive;
+        ] );
+      ( "ground-truth",
+        [
+          qtest prop_detect_matches_outcome;
           qtest prop_no_detection_on_acyclic;
-          qtest prop_scan_deterministic;
+          qtest prop_detect_deterministic;
         ] );
       ( "online",
         [

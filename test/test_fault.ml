@@ -88,7 +88,13 @@ let test_make_rejects () =
     (Invalid_argument "Fault.make: stall duration < 1") (fun () ->
       ignore (Fault.make [ Fault.Transient_stall { channel = ab; at = 0; duration = 0 } ]));
   Alcotest.check_raises "negative drop time" (Invalid_argument "Fault.make: drop time < 0")
-    (fun () -> ignore (Fault.make [ Fault.Message_drop { label = "m"; at = -2 } ]))
+    (fun () -> ignore (Fault.make [ Fault.Message_drop { label = "m"; at = -2 } ]));
+  (* a wrapped stall end is negative, so the window would silently vanish *)
+  Alcotest.check_raises "stall end past max_int"
+    (Invalid_argument "Fault.make: stall end overflows int") (fun () ->
+      ignore
+        (Fault.make [ Fault.Transient_stall { channel = ab; at = 1; duration = max_int } ]));
+  ignore (Fault.make [ Fault.Transient_stall { channel = ab; at = 1; duration = max_int - 1 } ])
 
 let test_parse_roundtrip () =
   let rt, _, _, ab, bc, _ = line3 () in
@@ -141,6 +147,7 @@ let test_parse_errors () =
       "fail:a>b" (* missing time *);
       "fail:a>b@-2" (* negative time *);
       "stall:a>b@3+0" (* empty window *);
+      Printf.sprintf "stall:a>b@1+%d" max_int (* end past max_int *);
     ]
 
 (* ---- engine semantics ---- *)

@@ -270,6 +270,32 @@ let mesh8_schedule () =
   Traffic.bernoulli_schedule rng pattern ~coords:mesh8 ~rate:0.02 ~length:4 ~horizon:300
 
 let tornado5 () = Traffic.permutation_schedule (Traffic.tornado torus5) ~coords:torus5 ~length:8
+let mesh3 = Builders.mesh [ 3; 3 ]
+
+let detect_config dcfg =
+  {
+    Engine.default_config with
+    recovery = Some { Engine.default_recovery with trigger = Engine.Detect dcfg };
+  }
+
+(* fully adaptive minimal routing on a loaded 3x3 mesh knots up several
+   times; the knots' members differ in age and held channels, so each
+   victim policy aborts different messages *)
+let mesh3_knot_case name policy =
+  {
+    id = "adp/mesh3x3-knot-detect-" ^ name;
+    fp =
+      (fun () ->
+        let rng = Rng.create 1 in
+        let pattern = Traffic.uniform rng mesh3 in
+        let sched =
+          Traffic.bernoulli_schedule rng pattern ~coords:mesh3 ~rate:0.5 ~length:6 ~horizon:20
+        in
+        run_fingerprint mesh3.Builders.topo
+          ~config:(detect_config { Obs_detect.default_config with Obs_detect.policy })
+          (adaptive (Adaptive.fully_adaptive_minimal mesh3))
+          sched);
+  }
 
 let special_cases =
   [
@@ -333,6 +359,26 @@ let special_cases =
           run_fingerprint torus5.Builders.topo ~config (oblivious torus5_rt)
             (tornado5 ()));
     };
+    {
+      (* a planned stall pushes the stall horizon past the knot: no
+         confirmation before the stall has expired *)
+      id = "obl/torus5-tornado-detect-stall";
+      fp =
+        (fun () ->
+          let ch =
+            match Topology.find_channel torus5.Builders.topo 0 1 with
+            | Some c -> c
+            | None -> Alcotest.fail "torus5 has no channel 0 -> 1"
+          in
+          let faults =
+            Fault.make [ Fault.Transient_stall { channel = ch; at = 5; duration = 60 } ]
+          in
+          let config = { (detect_config Obs_detect.default_config) with faults } in
+          run_fingerprint torus5.Builders.topo ~config (oblivious torus5_rt) (tornado5 ()));
+    };
+    mesh3_knot_case "minimal" Obs_detect.Minimal_victim;
+    mesh3_knot_case "youngest" Obs_detect.Youngest;
+    mesh3_knot_case "oldest" Obs_detect.Oldest;
     {
       id = "obl/torus5-tornado-watchdog";
       fp =
@@ -500,6 +546,26 @@ let test_steady_cycle_allocation_adaptive () =
         words
   end
 
+(* Online detection reads the kernel's own wait tables, so a Detect run
+   with no sink attached must be as allocation-free as a plain one.  The
+   backstop is out of reach: the second worm waits ~8000 cycles behind the
+   first, which is no knot and must not be aborted either. *)
+let test_steady_cycle_allocation_detect () =
+  if sanitize_on then ()
+  else begin
+    let config = detect_config { Obs_detect.default_config with Obs_detect.backstop = 1_000_000 } in
+    List.iter
+      (fun (mode, run) ->
+        let words = alloc_per_run run in
+        if words > 25_000.0 then
+          Alcotest.failf "%s detect steady cycle allocates: %.0f minor words per ~16k-cycle run"
+            mode words)
+      [
+        ("oblivious", Engine.run ~config line4_rt);
+        ("adaptive", Engine.run_adaptive ~config (Adaptive.of_oblivious line4_rt));
+      ]
+  end
+
 let () =
   Alcotest.run "kernel"
     [
@@ -514,5 +580,7 @@ let () =
             test_steady_cycle_allocation_oblivious;
           Alcotest.test_case "adaptive steady cycle allocation bound" `Quick
             test_steady_cycle_allocation_adaptive;
+          Alcotest.test_case "detect steady cycle allocation bound (no sink)" `Quick
+            test_steady_cycle_allocation_detect;
         ] );
     ]

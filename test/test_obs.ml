@@ -92,6 +92,39 @@ let prop_sink_purity_recovery =
       in
       Engine.run ~config ring5_rt sched = observed_run ~config ring5_rt sched)
 
+(* A Detect trigger reads the kernel's wait tables whether or not a sink is
+   attached, so detections, victims and every decision after them must not
+   depend on observation either -- oblivious and adaptive. *)
+let detect_config =
+  {
+    Engine.default_config with
+    recovery =
+      Some
+        {
+          Engine.default_recovery with
+          trigger =
+            Engine.Detect { Obs_detect.default_config with Obs_detect.bound = 4; backstop = 64 };
+          retry_limit = 2;
+          backoff = 4;
+        };
+  }
+
+let prop_sink_purity_detect =
+  QCheck.Test.make ~name:"sinks never change outcomes (ring, detect)" ~count:60
+    (schedule_gen ring5)
+    (fun sched ->
+      Engine.run ~config:detect_config ring5_rt sched
+      = observed_run ~config:detect_config ring5_rt sched)
+
+let prop_sink_purity_detect_adaptive =
+  let ad = Adaptive.fully_adaptive_minimal mesh3 in
+  QCheck.Test.make ~name:"sinks never change outcomes (adaptive mesh, detect)" ~count:60
+    (schedule_gen mesh3)
+    (fun sched ->
+      let sink, _ = Obs.recorder () in
+      Engine.run_adaptive ~config:detect_config ad sched
+      = Engine.run_adaptive ~config:detect_config ~obs:sink ad sched)
+
 let prop_sink_purity_installed =
   (* the process-wide installed sink must be just as invisible as ?obs *)
   QCheck.Test.make ~name:"installed sink never changes outcomes" ~count:60
@@ -484,6 +517,8 @@ let () =
           qtest prop_sink_purity_mesh;
           qtest prop_sink_purity_ring;
           qtest prop_sink_purity_recovery;
+          qtest prop_sink_purity_detect;
+          qtest prop_sink_purity_detect_adaptive;
           qtest prop_sink_purity_installed;
           Alcotest.test_case "adaptive engine" `Quick test_adaptive_sink_purity;
         ] );

@@ -425,12 +425,16 @@ let recovery_gen =
     if not on then return None
     else
       let* watchdog = 8 -- 32 in
+      let* detect = bool in
+      let* bound = 1 -- 8 in
       let* retry_limit = 0 -- 3 in
       let* backoff = 1 -- 8 in
-      return
-        (Some
-           { Engine.default_recovery with trigger = Engine.Watchdog watchdog; retry_limit;
-             backoff }))
+      let trigger =
+        if detect then
+          Engine.Detect { Obs_detect.default_config with Obs_detect.bound; backstop = watchdog }
+        else Engine.Watchdog watchdog
+      in
+      return (Some { Engine.default_recovery with trigger; retry_limit; backoff }))
 
 let differential_case_gen coords =
   let sched_gen = schedule_gen coords in
