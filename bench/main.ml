@@ -14,8 +14,9 @@
    Options:
      --quick               smoke subset with a small measurement quota (CI)
      --json                also write BENCH_<date>.json with ns/run per case
-                           plus per-case work counters (one extra observed
-                           execution of each case under a metrics sink) and
+                           plus per-case work counters (engine runs,
+                           cancelled runs, pool claims and cancels over one
+                           extra execution of each case) and
                            per-case GC allocation deltas (minor/major words
                            over one plain execution)
      --campaign-json FILE  splice a wormhole-campaign/1 JSON (from
@@ -66,8 +67,8 @@ let fig2_space =
   Explorer.default_space templates
 
 (* Each case keeps its raw thunk next to the bechamel test, so --json can
-   re-run it exactly once under a metrics sink and report the work counters
-   (runs, flits, acquisitions, pool claims...) per case. *)
+   re-run it exactly once and report its work counters (engine runs, pool
+   claims...) per case. *)
 type case = { c_name : string; c_test : Test.t; c_run : unit -> unit }
 
 let case name f =
@@ -193,21 +194,34 @@ let smoke =
 let chosen_cases ~quick =
   if quick then List.filter (fun c -> List.mem c.c_name smoke) entries else entries
 
-(* One observed execution of a case: fold its events into a fresh registry
-   (with the pool bridge attached, so sweep cases report claim/cancel
-   counts) and keep the non-zero counters.  Parallel sweeps make some of
-   these schedule-dependent -- like the timings, they describe this
-   machine's execution, not a canonical quantity. *)
+(* One counted execution of a case: its engine runs started and cancelled
+   (Engine.run_count/cancelled_count deltas) and, through the pool
+   observer, its chunk claims and cancelled tasks; zero counters are
+   dropped.  Parallel sweeps make some of these schedule-dependent -- like
+   the timings, they describe this machine's execution, not a canonical
+   quantity. *)
+let pool_claims = Atomic.make 0
+let pool_cancels = Atomic.make 0
+
 let counters_of c =
-  let reg = Obs.Metrics.create () in
-  Obs.install (Obs.metrics_sink reg);
-  Obs.attach_pool ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.detach_pool ();
-      Obs.uninstall ())
-    c.c_run;
-  List.filter (fun (_, v) -> v <> 0) (Obs.Metrics.snapshot reg)
+  Wr_pool.set_observer
+    (Some
+       (function
+         | Wr_pool.Claim _ -> Atomic.incr pool_claims
+         | Wr_pool.Cancel _ -> Atomic.incr pool_cancels));
+  let sample () =
+    [
+      ("engine_runs", Engine.run_count ());
+      ("engine_runs_cancelled", Engine.cancelled_count ());
+      ("pool_claims", Atomic.get pool_claims);
+      ("pool_cancels", Atomic.get pool_cancels);
+    ]
+  in
+  let before = sample () in
+  Fun.protect ~finally:(fun () -> Wr_pool.set_observer None) c.c_run;
+  List.filter_map
+    (fun ((k, v1), (_, v0)) -> if v1 <> v0 then Some (k, v1 - v0) else None)
+    (List.combine (sample ()) before)
 
 (* One warmed execution of a case bracketed by GC counters: the per-case
    allocation pressure (words, not bytes) that --json reports alongside the

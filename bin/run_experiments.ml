@@ -72,10 +72,7 @@ let main names quick max_p sanitize detect discipline domains json metrics verdi
   in
   let totals = Experiments.totals campaign in
   let write path text what =
-    let oc = open_out path in
-    output_string oc text;
-    close_out oc;
-    Format.fprintf ppf "@\n%s written to %s@." what path
+    if Out_file.write path text then Format.fprintf ppf "@\n%s written to %s@." what path
   in
   Format.fprintf ppf "@\n=== Summary ===@\n%s@?"
     (Experiments.summary_table (Experiments.campaign_rows campaign));
@@ -118,6 +115,7 @@ let main names quick max_p sanitize detect discipline domains json metrics verdi
   Format.fprintf ppf "@\n=== Timing (domains=%d) ===@\n%s@?" campaign.c_domains
     (Experiments.timing_table campaign);
   Option.iter (fun path -> write path (Experiments.json_text campaign) "timing JSON") json;
+  Out_file.exit_if_failed ();
   if not ok then exit 1
 
 let names_arg =

@@ -9,7 +9,8 @@
      wormlint --list                   show the registry
 
    Exit status: 0 clean, 1 when any E-severity diagnostic (or corpus
-   failure) is found. *)
+   failure) is found, 2 on a usage error: a fault plan that parses on no
+   selected network, or an output file that cannot be written. *)
 
 open Cmdliner
 
@@ -84,38 +85,39 @@ let run_synth json =
   if num_errors = 0 then 0 else 1
 
 (* Prometheus text file with the full (algorithm x severity) count matrix;
-   every cell is pre-registered so CI thresholds can distinguish "linted
-   clean" (0) from "not linted" (series absent). *)
+   every cell is present so CI thresholds can distinguish "linted clean"
+   (0) from "not linted" (series absent).  Series are in label order, and
+   an algorithm named twice sums its counts. *)
 let write_metrics path results =
-  let reg = Obs.Metrics.create () in
-  let severities = [ Diagnostic.Error; Diagnostic.Warning; Diagnostic.Info ] in
-  let total s =
-    Obs.Metrics.counter reg ~help:"Lint diagnostics by severity"
-      ~labels:[ ("severity", Diagnostic.severity_string s) ]
-      "wormlint_diagnostics_total"
+  let severities =
+    List.sort compare
+      (List.map
+         (fun s -> (Diagnostic.severity_string s, s))
+         [ Diagnostic.Error; Diagnostic.Warning; Diagnostic.Info ])
   in
-  let per_algo name s =
-    Obs.Metrics.counter reg ~help:"Lint diagnostics by algorithm and severity"
-      ~labels:[ ("algorithm", name); ("severity", Diagnostic.severity_string s) ]
-      "wormlint_algorithm_diagnostics_total"
+  let count keep s =
+    List.fold_left
+      (fun acc (e, _, ds) -> if keep e then acc + Diagnostic.count s ds else acc)
+      0 results
   in
-  let algos =
-    Obs.Metrics.counter reg ~help:"Algorithms linted" "wormlint_algorithms_total"
+  let names = List.sort_uniq compare (List.map (fun (e, _, _) -> e.Registry.r_name) results) in
+  let per_algo n (label, s) =
+    ([ ("algorithm", n); ("severity", label) ], count (fun e -> e.Registry.r_name = n) s)
   in
-  List.iter (fun s -> ignore (total s)) severities;
-  List.iter
-    (fun (e, _, ds) ->
-      Obs.Metrics.inc algos;
-      List.iter
-        (fun s ->
-          let n = Diagnostic.count s ds in
-          Obs.Metrics.add (total s) n;
-          Obs.Metrics.add (per_algo e.Registry.r_name s) n)
-        severities)
-    results;
-  let oc = open_out path in
-  output_string oc (Obs.Metrics.to_prometheus reg);
-  close_out oc
+  ignore
+    (Out_file.write path
+       (Obs_prom.render
+          [
+            Obs_prom.counter ~help:"Lint diagnostics by algorithm and severity"
+              "wormlint_algorithm_diagnostics_total"
+              (List.concat_map (fun n -> List.map (per_algo n) severities) names);
+            Obs_prom.counter ~help:"Algorithms linted" "wormlint_algorithms_total"
+              [ ([], List.length results) ];
+            Obs_prom.counter ~help:"Lint diagnostics by severity" "wormlint_diagnostics_total"
+              (List.map
+                 (fun (label, s) -> ([ ("severity", label) ], count (fun _ -> true) s))
+                 severities);
+          ]))
 
 let lint_entries json fault_spec reroute_name all_flag metrics selection =
   let all = Registry.entries () in
@@ -154,6 +156,22 @@ let lint_entries json fault_spec reroute_name all_flag metrics selection =
             exit 2)
         names
   in
+  (* a plan that parses on none of the selected networks is a usage error;
+     one that parses on some is an E040 finding on the others *)
+  Option.iter
+    (fun spec ->
+      let errors =
+        List.filter_map
+          (fun e ->
+            match Fault.parse (Registry.topology e) spec with Ok _ -> None | Error m -> Some m)
+          chosen
+      in
+      match errors with
+      | msg :: _ when List.length errors = List.length chosen ->
+        Printf.eprintf "bad --faults plan: %s\n" msg;
+        exit 2
+      | _ -> ())
+    fault_spec;
   let lint_one e =
     let topo = Registry.topology e in
     let diags = Registry.lint e in
@@ -206,8 +224,8 @@ let lint_entries json fault_spec reroute_name all_flag metrics selection =
           (Diagnostic.count Diagnostic.Info ds);
         List.iter (fun d -> Format.printf "  %a@." (Diagnostic.pp ~topo ()) d) ds)
       results;
-  (match metrics with None -> () | Some path -> write_metrics path results);
-  if num_errors = 0 then 0 else 1
+  Option.iter (fun path -> write_metrics path results) metrics;
+  if !Out_file.failed then 2 else if num_errors = 0 then 0 else 1
 
 let main list corpus synth json fault_spec reroute_name all_flag domains metrics selection =
   (match domains with
@@ -263,7 +281,8 @@ let faults_arg =
     & opt (some string) None
     & info [ "faults" ] ~docv:"PLAN"
         ~doc:"Also lint this fault plan (Fault.parse syntax) against each selected \
-              algorithm's topology.")
+              algorithm's topology: E040 where it does not parse, exit 2 when it parses \
+              on none of them.")
 
 let reroute_arg =
   Arg.(

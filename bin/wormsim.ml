@@ -168,60 +168,34 @@ let lint_discipline ~algorithm discipline sched buffer =
   if List.exists (fun d -> d.Diagnostic.severity = Diagnostic.Error) diags then
     failwith "invalid --discipline/--buffer configuration (E047)"
 
-(* Observability wiring for --trace-out/--metrics-out: a recorder (events
-   feed the Chrome exporter and the deadlock post-mortem) teed with a
-   metrics fold when requested.  wormsim is a single run, so folding the
-   event stream into metrics is deterministic here (DESIGN.md §11). *)
-type obs_ctx = {
-  oc_events : unit -> Obs.Event.t list;
-  oc_reg : Obs.Metrics.t;
-  oc_trace : string option;
-  oc_metrics : string option;
-}
-
-let setup_obs trace_out metrics_out =
-  if trace_out = None && metrics_out = None then None
-  else begin
+(* Observability wiring for --trace-out: a recorder whose events feed the
+   Chrome exporter and the deadlock post-mortem.  Counting is --stats-out's
+   job; events are never folded into counts. *)
+let setup_obs = function
+  | None -> None
+  | Some path ->
     let sink, events = Obs.recorder () in
-    let reg = Obs.Metrics.create () in
-    let sinks =
-      match metrics_out with None -> [ sink ] | Some _ -> [ sink; Obs.metrics_sink reg ]
-    in
-    Obs.install (Obs.tee sinks);
-    Some { oc_events = events; oc_reg = reg; oc_trace = trace_out; oc_metrics = metrics_out }
-  end
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+    Obs.install sink;
+    Some (events, path)
 
 (* [post_mortem] when the run deadlocked or went through recovery: print the
    reconstructed wait-for knot, occupancy history and (given [rt]) the
    Theorem 2-5 classification of the knot's channel cycle. *)
 let finalize_obs ?rt ~topo ~post_mortem = function
   | None -> ()
-  | Some ctx ->
+  | Some (events, path) ->
     Obs.uninstall ();
-    let events = ctx.oc_events () in
+    let events = events () in
     if post_mortem then
       Format.printf "%s@?" (Obs.Postmortem.render ~topo (Obs.Postmortem.analyze ?rt events));
-    (match ctx.oc_trace with
-    | Some path ->
-      write_file path (Obs.Chrome.to_json ~topo events);
+    if Out_file.write path (Obs.Chrome.to_json ~topo events) then
       Format.printf "chrome trace written to %s@." path
-    | None -> ());
-    (match ctx.oc_metrics with
-    | Some path ->
-      write_file path (Obs.Metrics.to_prometheus ctx.oc_reg);
-      Format.printf "metrics written to %s@." path
-    | None -> ())
 
 (* Counters-first telemetry for --stats-out: one preallocated accumulator
    threaded through the run, rendered as Prometheus text (or JSON when the
    file ends in .json) plus a summary table and utilization heatmap on
-   stdout.  Unlike --trace-out/--metrics-out this never arms the event
-   bus, so it also works on runs too hot to trace. *)
+   stdout.  Unlike --trace-out this never arms the event bus, so it also
+   works on runs too hot to trace. *)
 let setup_stats topo = function
   | None -> None
   | Some path -> Some (Obs.Stats.create ~nchan:(Topology.num_channels topo), path)
@@ -235,12 +209,12 @@ let finalize_stats ~topo = function
       if Filename.check_suffix path ".json" then Obs.Stats.to_json ~topo st
       else Obs.Stats.to_prometheus ~topo st
     in
-    write_file path doc;
+    let written = Out_file.write path doc in
     Format.printf "%s" (Obs.Stats.summary ~topo st);
     (match Obs.Stats.heatmap ~topo st with
     | "" -> ()
     | hm -> Format.printf "%s" hm);
-    Format.printf "stats written to %s@." path
+    if written then Format.printf "stats written to %s@." path
 
 let post_mortem_of = function
   | Engine.Deadlock _ | Engine.Recovered _ -> true
@@ -269,7 +243,7 @@ let run_and_report ~config ?stats ~traffic topo algo sched =
 
 let main topology dims routing pattern rate length horizon permutation seed buffer
     discipline_spec faults_spec recovery_on retry_limit watchdog detect detect_bound
-    victim_policy witness trace_out metrics_out stats_out =
+    victim_policy witness trace_out stats_out =
   try
     let rng = Rng.create seed in
     let discipline =
@@ -360,7 +334,7 @@ let main topology dims routing pattern rate length horizon permutation seed buff
         Some (sched, configure sched)
     in
     (* 3. observe, run, report and exit once; stats cover only the run *)
-    let obs = setup_obs trace_out metrics_out in
+    let obs = setup_obs trace_out in
     let sctx = match run with Some _ -> setup_stats topo stats_out | None -> None in
     let deadlocked, post_mortem =
       match run with
@@ -374,6 +348,7 @@ let main topology dims routing pattern rate length horizon permutation seed buff
     let rt = match algo with `Oblivious rt -> Some rt | `Adaptive _ -> None in
     finalize_obs ?rt ~topo ~post_mortem obs;
     finalize_stats ~topo sctx;
+    Out_file.exit_if_failed ();
     if deadlocked then exit 3
   with Failure msg | Invalid_argument msg ->
     Printf.eprintf "wormsim: %s\n" msg;
@@ -461,8 +436,8 @@ let witness_arg =
   Arg.(value & flag
     & info [ "witness" ]
         ~doc:"for paper networks: sweep the intents' schedule space (lengths, gaps, orders, \
-              priorities) for a deadlock witness and replay it; combine with --trace-out or \
-              --metrics-out to observe the deadlock and get a post-mortem")
+              priorities) for a deadlock witness and replay it; combine with --trace-out \
+              to observe the deadlock and get a post-mortem")
 
 let trace_out_arg =
   Arg.(value & opt (some string) None
@@ -471,20 +446,17 @@ let trace_out_arg =
               $(docv) (load in chrome://tracing or Perfetto); on deadlock or recovery a \
               post-mortem of the wait-for knot is printed too")
 
-let metrics_out_arg =
-  Arg.(value & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:"fold the run's events into the standard wormhole_* metric families and write \
-              them to $(docv) in Prometheus text format")
-
 let stats_out_arg =
   Arg.(value & opt (some string) None
     & info [ "stats-out" ] ~docv:"FILE"
-        ~doc:"thread a counters-first telemetry accumulator through the run (no event bus: \
-              the steady cycle stays allocation-free) and write wormhole_stats_* families \
-              to $(docv) in Prometheus text format (JSON when $(docv) ends in .json); a \
-              latency percentile summary and per-channel utilization heatmap print to \
-              stdout; with --witness, stats cover only the witness replay")
+        ~doc:"the run's telemetry file: thread a counters-first accumulator through the \
+              run (no event bus: the steady cycle stays allocation-free) and write the \
+              wormhole_stats_* families (per-channel occupancy and waits, latency, phase \
+              work, outcomes, aborts by reason, retries, gave-up, detections, victims, \
+              fault events by kind) to $(docv) in Prometheus text format (JSON when \
+              $(docv) ends in .json); a latency percentile summary and per-channel \
+              utilization heatmap print to stdout; with --witness, stats cover only the \
+              witness replay")
 
 let cmd =
   let doc = "simulate wormhole routing on a classic topology" in
@@ -494,7 +466,7 @@ let cmd =
       $ horizon_arg $ permutation_arg $ seed_arg $ buffer_arg $ discipline_arg $ faults_arg
       $ recovery_arg
       $ retry_limit_arg $ watchdog_arg $ detect_arg $ detect_bound_arg $ victim_policy_arg
-      $ witness_arg $ trace_out_arg $ metrics_out_arg $ stats_out_arg)
+      $ witness_arg $ trace_out_arg $ stats_out_arg)
 
 let () = exit (Cmd.eval cmd)
 

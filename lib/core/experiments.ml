@@ -1022,18 +1022,18 @@ let exp_detect ?(quick = false) ppf =
     let sched = Traffic.permutation_schedule (Traffic.tornado torus) ~coords:torus ~length:8 in
     Some ("torus5x5-tornado", torus.Builders.topo, rt, sched, Engine.default_config)
   in
+  (* the abort tally comes from the counting plane; the first detection's
+     cycle, a post-mortem fact, from the event stream *)
   let observed_run ~recovery rt sched config =
     let sink, events = Obs.recorder () in
-    let out = Engine.run ~config:{ config with Engine.recovery } ~obs:sink rt sched in
-    (out, events ())
-  in
-  let abort_count events =
-    List.length (List.filter (function Obs_event.Abort _ -> true | _ -> false) events)
-  in
-  let first_detection events =
-    List.find_map
-      (function Obs_event.Deadlock_detected { cycle; _ } -> Some cycle | _ -> None)
-      events
+    let st = Obs_stats.create ~nchan:(Topology.num_channels (Routing.topology rt)) in
+    let out = Engine.run ~config:{ config with Engine.recovery } ~obs:sink ~stats:st rt sched in
+    let first_detection =
+      List.find_map
+        (function Obs_event.Deadlock_detected { cycle; _ } -> Some cycle | _ -> None)
+        (events ())
+    in
+    (out, first_detection, Array.fold_left ( + ) 0 st.Obs_stats.st_aborts)
   in
   let delivered_labels = function
     | Engine.All_delivered { messages; _ } | Engine.Cutoff { messages; _ } ->
@@ -1059,9 +1059,10 @@ let exp_detect ?(quick = false) ppf =
           let knot_cycle =
             match truth with Engine.Deadlock d -> Some d.Engine.d_cycle | _ -> None
           in
-          let det_out, det_events = observed_run ~recovery:(Some detect_recovery) rt sched config in
-          let wd_out, wd_events = observed_run ~recovery:(Some watchdog_recovery) rt sched config in
-          let detected = first_detection det_events in
+          let det_out, detected, det_aborts =
+            observed_run ~recovery:(Some detect_recovery) rt sched config
+          in
+          let wd_out, _, wd_aborts = observed_run ~recovery:(Some watchdog_recovery) rt sched config in
           Format.fprintf ppf "%s: ground truth %s@\n" name
             (match truth with
             | Engine.Deadlock d -> Printf.sprintf "deadlock at cycle %d" d.Engine.d_cycle
@@ -1069,11 +1070,10 @@ let exp_detect ?(quick = false) ppf =
           Format.fprintf ppf "  detect   (bound %d): %a@\n    first detection %s, %d aborts@\n"
             dcfg.Obs_detect.bound (Engine.pp_outcome topo) det_out
             (match detected with Some c -> Printf.sprintf "at cycle %d" c | None -> "NEVER")
-            (abort_count det_events);
+            det_aborts;
           Format.fprintf ppf "  watchdog (32 cycles): %a@\n    %d aborts@\n"
-            (Engine.pp_outcome topo) wd_out (abort_count wd_events);
-          Some (name, knot_cycle, detected, det_out, wd_out, abort_count det_events,
-                abort_count wd_events))
+            (Engine.pp_outcome topo) wd_out wd_aborts;
+          Some (name, knot_cycle, detected, det_out, wd_out, det_aborts, wd_aborts))
       [ fig2_workload; tornado_workload ]
   in
   let bound_rows =
@@ -1501,34 +1501,29 @@ let verdict_lines c =
    from parallel sweeps are schedule-dependent, so folding them would break
    the byte-determinism contract (DESIGN.md §11). *)
 let metrics_text c =
-  let reg = Obs.Metrics.create () in
-  let quick_g =
-    Obs.Metrics.gauge reg ~help:"1 when the campaign ran with --quick" "wormhole_campaign_quick"
+  let rows = campaign_rows c in
+  let failed = List.length (List.filter (fun r -> not r.x_ok) rows) in
+  (* series in label order; an experiment named twice sums its runs *)
+  let per_experiment =
+    List.sort_uniq compare (List.map (fun e -> e.e_name) c.c_entries)
+    |> List.map (fun name ->
+           ( [ ("experiment", name) ],
+             List.fold_left
+               (fun acc e -> if e.e_name = name then acc + e.e_runs - e.e_cancelled else acc)
+               0 c.c_entries ))
   in
-  Obs.Metrics.set quick_g (if c.c_quick then 1 else 0);
-  let claims status =
-    Obs.Metrics.counter reg ~help:"Campaign claims by verdict"
-      ~labels:[ ("status", status) ]
-      "wormhole_campaign_claims_total"
-  in
-  let ok_c = claims "ok" and failed_c = claims "failed" in
-  List.iter (fun r -> Obs.Metrics.inc (if r.x_ok then ok_c else failed_c)) (campaign_rows c);
-  List.iter
-    (fun e ->
-      let runs =
-        Obs.Metrics.counter reg
-          ~help:"Canonical engine runs per experiment (speculative cancelled runs excluded)"
-          ~labels:[ ("experiment", e.e_name) ]
-          "wormhole_campaign_experiment_runs_total"
-      in
-      Obs.Metrics.add runs (e.e_runs - e.e_cancelled))
-    c.c_entries;
-  let total =
-    Obs.Metrics.counter reg ~help:"Canonical engine runs across the campaign"
-      "wormhole_campaign_runs_total"
-  in
-  Obs.Metrics.add total (totals c).t_canonical;
-  Obs.Metrics.to_prometheus reg
+  Obs_prom.render
+    [
+      Obs_prom.counter ~help:"Campaign claims by verdict" "wormhole_campaign_claims_total"
+        [ ([ ("status", "failed") ], failed); ([ ("status", "ok") ], List.length rows - failed) ];
+      Obs_prom.counter
+        ~help:"Canonical engine runs per experiment (speculative cancelled runs excluded)"
+        "wormhole_campaign_experiment_runs_total" per_experiment;
+      Obs_prom.gauge ~help:"1 when the campaign ran with --quick" "wormhole_campaign_quick"
+        [ ([], if c.c_quick then 1 else 0) ];
+      Obs_prom.counter ~help:"Canonical engine runs across the campaign"
+        "wormhole_campaign_runs_total" [ ([], (totals c).t_canonical) ];
+    ]
 
 let json_text c =
   let t = totals c in

@@ -118,21 +118,22 @@ let parse_channel topo s =
       if n > 0 && src_name.[n - 1] = '-' then String.sub src_name 0 (n - 1) else src_name
     in
     let rest = String.sub s (i + 1) (String.length s - i - 1) in
-    let dst_name, vc =
+    let dst_name, vc_s =
       match String.index_opt rest '#' with
-      | None -> (String.trim rest, 0)
+      | None -> (String.trim rest, "0")
       | Some j ->
         ( String.trim (String.sub rest 0 j),
-          int_of_string (String.trim (String.sub rest (j + 1) (String.length rest - j - 1)))
-        )
+          String.trim (String.sub rest (j + 1) (String.length rest - j - 1)) )
     in
     match
       ( (try Some (Topology.node_of_name topo src_name) with Not_found -> None),
-        try Some (Topology.node_of_name topo dst_name) with Not_found -> None )
+        (try Some (Topology.node_of_name topo dst_name) with Not_found -> None),
+        int_of_string_opt vc_s )
     with
-    | None, _ -> Error (Printf.sprintf "unknown node %S" src_name)
-    | _, None -> Error (Printf.sprintf "unknown node %S" dst_name)
-    | Some u, Some v -> (
+    | None, _, _ -> Error (Printf.sprintf "unknown node %S" src_name)
+    | _, None, _ -> Error (Printf.sprintf "unknown node %S" dst_name)
+    | _, _, None -> Error (Printf.sprintf "bad virtual channel %S in %S" vc_s s)
+    | Some u, Some v, Some vc -> (
       match Topology.find_channel ~vc topo u v with
       | Some c -> Ok c
       | None -> Error (Printf.sprintf "no channel %s>%s#%d" src_name dst_name vc)))

@@ -92,7 +92,7 @@ let to_json ?topo events =
   List.iter
     (fun (e : Obs_event.t) ->
       match e with
-      | Run_start _ | Search_start _ | Search_end _ | Task_claim _ | Task_cancel _ -> ()
+      | Run_start _ | Search_start _ | Search_end _ -> ()
       | Run_end _ -> ()
       | Channel_acquire { cycle; label; channel; waited } ->
         touch_msg label cycle;

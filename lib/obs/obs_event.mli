@@ -1,10 +1,11 @@
 (** Structured simulation events: the vocabulary of the observability layer.
 
-    Every dynamic phenomenon the engines, the search layer, and the work pool
-    can exhibit is reported as one of these constructors through an
-    {!Obs.sink}.  Events are plain data -- consumers (metrics folds, the
-    Chrome-trace exporter, the timeline renderer, the deadlock post-mortem)
-    never call back into the emitting subsystem.
+    Every dynamic phenomenon the engines and the search layer can exhibit
+    is reported as one of these constructors through an {!Obs.sink}.
+    Events are plain data -- consumers (the Chrome-trace exporter, the
+    timeline renderer, the deadlock post-mortem) never call back into the
+    emitting subsystem.  Counts are not derived from events: the kernel
+    keeps them in {!Obs_stats}.
 
     Channels are topology ids; messages are identified by their schedule
     label.  Cycle numbers are the engine's own cycle counter, so an event
@@ -77,8 +78,6 @@ type t =
       (** detection-triggered recovery aborted this knot member; the
           matching {!Abort} event (reason ["deadlock"]) follows *)
   | Sanitizer_trip of Diagnostic.t
-  | Task_claim of { pool : string; first : int; last : int }
-  | Task_cancel of { pool : string; index : int }
   | Search_start of { algorithm : string; tasks : int }
   | Search_end of { algorithm : string; runs : int; cancelled : int; witness : bool }
 

@@ -25,11 +25,21 @@ type t = {
   mutable st_ph_detect : int;
   st_disc_runs : int array;
   st_classes : int array;
+  st_outcomes : int array;
+  st_aborts : int array;
+  mutable st_retries : int;
+  mutable st_gave_up : int;
+  mutable st_detections : int;
+  mutable st_victims : int;
+  st_faults : int array;
 }
 
-(* fixed slot orders for the two small labelled rows *)
+(* fixed slot orders for the small labelled rows *)
 let disciplines = [| "wormhole"; "virtual-cut-through"; "store-and-forward" |]
 let classes = [| "global"; "local"; "weak" |]
+let outcomes = [| "all-delivered"; "cutoff"; "deadlock"; "recovered" |]
+let abort_reasons = [| "deadlock"; "drop"; "watchdog" |]
+let fault_kinds = [| "drop"; "drop-fired"; "failure"; "stall" |]
 
 let lat_bounds = [| 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024; 2048; 4096 |]
 let n_buckets = Array.length lat_bounds
@@ -56,15 +66,29 @@ let create ~nchan =
     st_ph_detect = 0;
     st_disc_runs = Array.make (Array.length disciplines) 0;
     st_classes = Array.make (Array.length classes) 0;
+    st_outcomes = Array.make (Array.length outcomes) 0;
+    st_aborts = Array.make (Array.length abort_reasons) 0;
+    st_retries = 0;
+    st_gave_up = 0;
+    st_detections = 0;
+    st_victims = 0;
+    st_faults = Array.make (Array.length fault_kinds) 0;
   }
 
+let clear a = Array.fill a 0 (Array.length a) 0
+
 let reset t =
-  Array.fill t.st_owned 0 (Array.length t.st_owned) 0;
-  Array.fill t.st_busy 0 (Array.length t.st_busy) 0;
-  Array.fill t.st_acquired 0 (Array.length t.st_acquired) 0;
-  Array.fill t.st_waited 0 (Array.length t.st_waited) 0;
-  Array.fill t.st_hol 0 (Array.length t.st_hol) 0;
-  Array.fill t.st_lat_counts 0 (n_buckets + 1) 0;
+  clear t.st_owned;
+  clear t.st_busy;
+  clear t.st_acquired;
+  clear t.st_waited;
+  clear t.st_hol;
+  clear t.st_lat_counts;
+  clear t.st_disc_runs;
+  clear t.st_classes;
+  clear t.st_outcomes;
+  clear t.st_aborts;
+  clear t.st_faults;
   t.st_lat_sum <- 0;
   t.st_lat_max <- 0;
   t.st_delivered <- 0;
@@ -76,16 +100,19 @@ let reset t =
   t.st_ph_advance <- 0;
   t.st_ph_fault <- 0;
   t.st_ph_detect <- 0;
-  Array.fill t.st_disc_runs 0 (Array.length t.st_disc_runs) 0;
-  Array.fill t.st_classes 0 (Array.length t.st_classes) 0
+  t.st_retries <- 0;
+  t.st_gave_up <- 0;
+  t.st_detections <- 0;
+  t.st_victims <- 0
 
 let merge ~into src =
   if into.st_nchan <> src.st_nchan then
     invalid_arg
       (Printf.sprintf "Obs_stats.merge: nchan mismatch (%d vs %d)"
          into.st_nchan src.st_nchan);
+  (* every row is sized identically on both sides once nchan agrees *)
   let add dst s =
-    for i = 0 to into.st_nchan - 1 do
+    for i = 0 to Array.length s - 1 do
       dst.(i) <- dst.(i) + s.(i)
     done
   in
@@ -94,9 +121,7 @@ let merge ~into src =
   add into.st_acquired src.st_acquired;
   add into.st_waited src.st_waited;
   add into.st_hol src.st_hol;
-  for i = 0 to n_buckets do
-    into.st_lat_counts.(i) <- into.st_lat_counts.(i) + src.st_lat_counts.(i)
-  done;
+  add into.st_lat_counts src.st_lat_counts;
   into.st_lat_sum <- into.st_lat_sum + src.st_lat_sum;
   into.st_lat_max <- max into.st_lat_max src.st_lat_max;
   into.st_delivered <- into.st_delivered + src.st_delivered;
@@ -108,12 +133,15 @@ let merge ~into src =
   into.st_ph_advance <- into.st_ph_advance + src.st_ph_advance;
   into.st_ph_fault <- into.st_ph_fault + src.st_ph_fault;
   into.st_ph_detect <- into.st_ph_detect + src.st_ph_detect;
-  for i = 0 to Array.length into.st_disc_runs - 1 do
-    into.st_disc_runs.(i) <- into.st_disc_runs.(i) + src.st_disc_runs.(i)
-  done;
-  for i = 0 to Array.length into.st_classes - 1 do
-    into.st_classes.(i) <- into.st_classes.(i) + src.st_classes.(i)
-  done
+  add into.st_disc_runs src.st_disc_runs;
+  add into.st_classes src.st_classes;
+  add into.st_outcomes src.st_outcomes;
+  add into.st_aborts src.st_aborts;
+  into.st_retries <- into.st_retries + src.st_retries;
+  into.st_gave_up <- into.st_gave_up + src.st_gave_up;
+  into.st_detections <- into.st_detections + src.st_detections;
+  into.st_victims <- into.st_victims + src.st_victims;
+  add into.st_faults src.st_faults
 
 let none = create ~nchan:0
 
@@ -178,96 +206,65 @@ let active t c =
   || t.st_hol.(c) > 0
 
 let to_prometheus ?topo t =
-  let buf = Buffer.create 4096 in
-  let family name kind help value_of =
-    Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
-    Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind);
-    for c = 0 to t.st_nchan - 1 do
-      if active t c then
-        Buffer.add_string buf
-          (Printf.sprintf "%s{channel=\"%s\"} %d\n" name
-             (Diagnostic.json_escape (chan_name topo c))
-             (value_of c))
-    done
+  let channels name help value_of =
+    let rows = ref [] in
+    for c = t.st_nchan - 1 downto 0 do
+      if active t c then rows := ([ ("channel", chan_name topo c) ], value_of c) :: !rows
+    done;
+    Obs_prom.counter ~help name !rows
   in
-  let scalar name kind help v =
-    Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
-    Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind);
-    Buffer.add_string buf (Printf.sprintf "%s %d\n" name v)
+  let scalar name help v = Obs_prom.counter ~help name [ ([], v) ] in
+  let by label slots row name help =
+    Obs_prom.counter ~help name
+      (Array.to_list (Array.mapi (fun i s -> ([ (label, s) ], row.(i))) slots))
   in
-  (* families in name order, matching Obs_metrics's sorted rendering *)
-  family "wormhole_stats_channel_acquisitions_total" "counter"
-    "successful channel acquisitions (awards/claims)" (fun c ->
-      t.st_acquired.(c));
-  family "wormhole_stats_channel_busy_cycles_total" "counter"
-    "cycles the channel held at least one buffered flit" (fun c ->
-      t.st_busy.(c));
-  family "wormhole_stats_channel_hol_blocked_cycles_total" "counter"
-    "waiter-cycles attributed to the channel as head of the wait chain"
-    (fun c -> t.st_hol.(c));
-  family "wormhole_stats_channel_owned_cycles_total" "counter"
-    "cycles the channel was owned by some message" (fun c -> t.st_owned.(c));
-  family "wormhole_stats_channel_wait_cycles_total" "counter"
-    "waiter-cycles spent blocked on the channel" (fun c -> t.st_waited.(c));
-  scalar "wormhole_stats_cycles_total" "counter" "kernel cycles accumulated"
-    t.st_cycles;
-  Buffer.add_string buf
-    "# HELP wormhole_stats_deadlocks_total deadlock outcomes by Stramaglia-Keiren-Zantema class\n";
-  Buffer.add_string buf "# TYPE wormhole_stats_deadlocks_total counter\n";
-  Array.iteri
-    (fun i cls ->
-      Buffer.add_string buf
-        (Printf.sprintf "wormhole_stats_deadlocks_total{class=\"%s\"} %d\n" cls
-           t.st_classes.(i)))
-    classes;
-  scalar "wormhole_stats_delivered_total" "counter" "messages delivered"
-    t.st_delivered;
-  Buffer.add_string buf
-    "# HELP wormhole_stats_latency_cycles injection-to-delivery latency\n";
-  Buffer.add_string buf "# TYPE wormhole_stats_latency_cycles histogram\n";
-  let cum = ref 0 in
-  for i = 0 to n_buckets - 1 do
-    cum := !cum + t.st_lat_counts.(i);
-    Buffer.add_string buf
-      (Printf.sprintf "wormhole_stats_latency_cycles_bucket{le=\"%d\"} %d\n"
-         lat_bounds.(i) !cum)
-  done;
-  cum := !cum + t.st_lat_counts.(n_buckets);
-  Buffer.add_string buf
-    (Printf.sprintf "wormhole_stats_latency_cycles_bucket{le=\"+Inf\"} %d\n"
-       !cum);
-  Buffer.add_string buf
-    (Printf.sprintf "wormhole_stats_latency_cycles_sum %d\n" t.st_lat_sum);
-  Buffer.add_string buf
-    (Printf.sprintf "wormhole_stats_latency_cycles_count %d\n" t.st_delivered);
-  Buffer.add_string buf
-    "# HELP wormhole_stats_phase_work_total per-phase message visits\n";
-  Buffer.add_string buf "# TYPE wormhole_stats_phase_work_total counter\n";
-  List.iter
-    (fun (phase, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "wormhole_stats_phase_work_total{phase=\"%s\"} %d\n"
-           phase v))
+  (* families in name order *)
+  Obs_prom.render
     [
-      ("advance", t.st_ph_advance);
-      ("arbitration", t.st_ph_arb);
-      ("claims", t.st_ph_claim);
-      ("detect", t.st_ph_detect);
-      ("fault", t.st_ph_fault);
-    ];
-  Buffer.add_string buf
-    "# HELP wormhole_stats_runs_by_discipline_total runs per switching discipline\n";
-  Buffer.add_string buf "# TYPE wormhole_stats_runs_by_discipline_total counter\n";
-  Array.iteri
-    (fun i d ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "wormhole_stats_runs_by_discipline_total{discipline=\"%s\"} %d\n" d
-           t.st_disc_runs.(i)))
-    disciplines;
-  scalar "wormhole_stats_runs_total" "counter" "simulator runs accumulated"
-    t.st_runs;
-  Buffer.contents buf
+      by "reason" abort_reasons t.st_aborts "wormhole_stats_aborts_total"
+        "recovery aborts by reason";
+      channels "wormhole_stats_channel_acquisitions_total"
+        "successful channel acquisitions (awards/claims)" (fun c -> t.st_acquired.(c));
+      channels "wormhole_stats_channel_busy_cycles_total"
+        "cycles the channel held at least one buffered flit" (fun c -> t.st_busy.(c));
+      channels "wormhole_stats_channel_hol_blocked_cycles_total"
+        "waiter-cycles attributed to the channel as head of the wait chain" (fun c ->
+          t.st_hol.(c));
+      channels "wormhole_stats_channel_owned_cycles_total"
+        "cycles the channel was owned by some message" (fun c -> t.st_owned.(c));
+      channels "wormhole_stats_channel_wait_cycles_total"
+        "waiter-cycles spent blocked on the channel" (fun c -> t.st_waited.(c));
+      scalar "wormhole_stats_cycles_total" "kernel cycles accumulated" t.st_cycles;
+      scalar "wormhole_stats_deadlocks_detected_total"
+        "deadlock knots confirmed by the online detector" t.st_detections;
+      by "class" classes t.st_classes "wormhole_stats_deadlocks_total"
+        "deadlock outcomes by Stramaglia-Keiren-Zantema class";
+      scalar "wormhole_stats_delivered_total" "messages delivered" t.st_delivered;
+      by "kind" fault_kinds t.st_faults "wormhole_stats_faults_total"
+        "fault-plan events by kind (planned at run start, drops as they fire)";
+      scalar "wormhole_stats_gave_up_total"
+        "messages abandoned: dropped without recovery or out of retries" t.st_gave_up;
+      Obs_prom.histogram ~help:"injection-to-delivery latency"
+        "wormhole_stats_latency_cycles" ~bounds:lat_bounds ~counts:t.st_lat_counts
+        ~sum:t.st_lat_sum;
+      by "outcome" outcomes t.st_outcomes "wormhole_stats_outcomes_total"
+        "finished runs by outcome";
+      Obs_prom.counter ~help:"per-phase message visits" "wormhole_stats_phase_work_total"
+        [
+          ([ ("phase", "advance") ], t.st_ph_advance);
+          ([ ("phase", "arbitration") ], t.st_ph_arb);
+          ([ ("phase", "claims") ], t.st_ph_claim);
+          ([ ("phase", "detect") ], t.st_ph_detect);
+          ([ ("phase", "fault") ], t.st_ph_fault);
+        ];
+      scalar "wormhole_stats_retries_total" "messages rescheduled after an abort"
+        t.st_retries;
+      by "discipline" disciplines t.st_disc_runs "wormhole_stats_runs_by_discipline_total"
+        "runs per switching discipline";
+      scalar "wormhole_stats_runs_total" "simulator runs accumulated" t.st_runs;
+      scalar "wormhole_stats_victims_aborted_total" "messages aborted as deadlock victims"
+        t.st_victims;
+    ]
 
 let to_json ?topo t =
   let buf = Buffer.create 4096 in
@@ -292,21 +289,23 @@ let to_json ?topo t =
     (Printf.sprintf
        ",\"phases\":{\"arbitration\":%d,\"claims\":%d,\"advance\":%d,\"fault\":%d,\"detect\":%d}"
        t.st_ph_arb t.st_ph_claim t.st_ph_advance t.st_ph_fault t.st_ph_detect);
-  Buffer.add_string buf ",\"disciplines\":{";
-  Array.iteri
-    (fun i d ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s\"%s\":%d" (if i > 0 then "," else "") d
-           t.st_disc_runs.(i)))
-    disciplines;
-  Buffer.add_string buf "},\"deadlocks\":{";
-  Array.iteri
-    (fun i cls ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s\"%s\":%d" (if i > 0 then "," else "") cls
-           t.st_classes.(i)))
-    classes;
-  Buffer.add_char buf '}';
+  let row name slots counts =
+    Buffer.add_string buf (Printf.sprintf ",\"%s\":{" name);
+    Array.iteri
+      (fun i s ->
+        Buffer.add_string buf
+          (Printf.sprintf "%s\"%s\":%d" (if i > 0 then "," else "") s counts.(i)))
+      slots;
+    Buffer.add_char buf '}'
+  in
+  row "disciplines" disciplines t.st_disc_runs;
+  row "deadlocks" classes t.st_classes;
+  row "outcomes" outcomes t.st_outcomes;
+  row "aborts" abort_reasons t.st_aborts;
+  Buffer.add_string buf
+    (Printf.sprintf ",\"retries\":%d,\"gave_up\":%d,\"detections\":%d,\"victims\":%d"
+       t.st_retries t.st_gave_up t.st_detections t.st_victims);
+  row "faults" fault_kinds t.st_faults;
   Buffer.add_string buf ",\"channels\":[";
   let first = ref true in
   for c = 0 to t.st_nchan - 1 do

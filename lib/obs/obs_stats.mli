@@ -1,15 +1,18 @@
-(** Counters-first telemetry plane for the struct-of-arrays kernel.
+(** The one counting plane of the struct-of-arrays kernel.
 
     The event bus ({!Obs}) materializes one structured event per phenomenon,
     which is exactly what the zero-allocation kernel was built to avoid
-    paying for.  This module is the cheap alternative: a preallocated
-    accumulator of flat int arrays that [Engine.run] writes into with
-    plain stores — per-channel busy/owned/acquisition/wait counters,
-    head-of-line blocking attribution, a fixed-bucket latency histogram, and
-    per-phase work counters.  Stats are on for a run exactly when the caller
-    passes an accumulator ([?stats]).  The steady cycle stays allocation-free
-    with stats on; with stats off the kernel pays a never-taken branch per
-    accumulation site.
+    paying for; events feed traces and post-mortems only, and every count
+    lives here.  An accumulator is a preallocated record of flat ints that
+    [Engine.run] writes into with plain stores — per-channel
+    busy/owned/acquisition/wait counters, head-of-line blocking attribution,
+    a fixed-bucket latency histogram, per-phase work counters, and the
+    recovery tallies (outcomes, aborts by reason, retries, gave-up,
+    detections, victims, fault events by kind) bumped at the cold sites
+    that emit the matching events.  Stats are on for a run exactly when the
+    caller passes an accumulator ([?stats]).  The steady cycle stays
+    allocation-free with stats on; with stats off the kernel pays a
+    never-taken branch per accumulation site.
 
     Accumulators are single-domain values (plain ints, no atomics): give
     each run its own [t] and combine per-run accumulators with {!merge} in
@@ -50,6 +53,18 @@ type t = {
   st_classes : int array;
       (** deadlock outcomes per Stramaglia-Keiren-Zantema class, slots in
           {!classes} order *)
+  st_outcomes : int array;  (** finished runs per outcome, slots in {!outcomes} order *)
+  st_aborts : int array;  (** recovery aborts per reason, slots in {!abort_reasons} order *)
+  mutable st_retries : int;  (** messages rescheduled after an abort *)
+  mutable st_gave_up : int;
+      (** messages abandoned: dropped without recovery, or out of retries
+          (or of degraded routes) *)
+  mutable st_detections : int;  (** wait-for knots the online detector confirmed *)
+  mutable st_victims : int;  (** knot members aborted as deadlock victims *)
+  st_faults : int array;
+      (** fault-plan events per kind, slots in {!fault_kinds} order: the
+          plan's failures, stalls and drops are counted at run start, a
+          drop again as ["drop-fired"] when it kills its message *)
 }
 
 val disciplines : string array
@@ -58,6 +73,17 @@ val disciplines : string array
 
 val classes : string array
 (** Fixed slot labels for [st_classes]: [|"global"; "local"; "weak"|]. *)
+
+val outcomes : string array
+(** Fixed slot labels for [st_outcomes], the [Engine.outcome_string]
+    values: [|"all-delivered"; "cutoff"; "deadlock"; "recovered"|]. *)
+
+val abort_reasons : string array
+(** Fixed slot labels for [st_aborts]: [|"deadlock"; "drop"; "watchdog"|]. *)
+
+val fault_kinds : string array
+(** Fixed slot labels for [st_faults], the {!Obs_event.fault_kind_string}
+    values: [|"drop"; "drop-fired"; "failure"; "stall"|]. *)
 
 val lat_bounds : int array
 (** Latency histogram upper bounds, in cycles: powers of two 1..4096.
@@ -101,10 +127,11 @@ val top_blocking : ?k:int -> t -> (int * int) list
 (* -- renderers (byte-deterministic whenever the values are) ----------- *)
 
 val to_prometheus : ?topo:Topology.t -> t -> string
-(** Prometheus text format, [Obs_metrics] conventions (HELP/TYPE lines,
-    sorted families, cumulative histogram buckets + [_sum] + [_count]).
-    Per-channel families emit one series per channel with any nonzero
-    counter, labelled [channel="name"] (channel ids without [topo]). *)
+(** Prometheus text through {!Obs_prom.render}: [wormhole_stats_*]
+    families in name order, cumulative histogram buckets + [_sum] +
+    [_count].  Per-channel families emit one series per channel with any
+    nonzero counter, labelled [channel="name"] (channel ids without
+    [topo]); labelled rows emit every slot in slot order. *)
 
 val to_json : ?topo:Topology.t -> t -> string
 (** One-object JSON document, schema [wormhole-stats/1]. *)

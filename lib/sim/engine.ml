@@ -305,7 +305,19 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
       | Virtual_cut_through -> 1
       | Store_and_forward -> 2
     in
-    st.Obs_stats.st_disc_runs.(di) <- st.Obs_stats.st_disc_runs.(di) + 1
+    st.Obs_stats.st_disc_runs.(di) <- st.Obs_stats.st_disc_runs.(di) + 1;
+    (* the plan's events, counted once per run like the Fault events
+       above; slots follow [Obs_stats.fault_kinds] *)
+    List.iter
+      (fun (ev : Fault.event) ->
+        let k =
+          match ev with
+          | Fault.Message_drop _ -> 0
+          | Fault.Link_failure _ -> 2
+          | Fault.Transient_stall _ -> 3
+        in
+        st.Obs_stats.st_faults.(k) <- st.Obs_stats.st_faults.(k) + 1)
+      (Fault.events config.faults)
   end;
   (* ---- flat message state (see the struct-of-arrays note above) ---- *)
   let specs = Array.of_list sched in
@@ -922,17 +934,24 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
     drain j t;
     fate_.(j) <- fate;
     incr finished;
+    if stats_on then st.Obs_stats.st_gave_up <- st.Obs_stats.st_gave_up + 1;
     if obs_on then
       emit
         (Obs_event.Gave_up
            { cycle = t; label = label j;
              fate = (if fate = f_dropped then "dropped" else "gave-up") })
   in
+  (* [reason] is a slot of [Obs_stats.abort_reasons] *)
+  let abort_deadlock = 0 and abort_drop = 1 and abort_watchdog = 2 in
   let abort_retry j (r : recovery) t ~reason =
     drain j t;
     retries_.(j) <- retries_.(j) + 1;
+    if stats_on then st.Obs_stats.st_aborts.(reason) <- st.Obs_stats.st_aborts.(reason) + 1;
     if obs_on then
-      emit (Obs_event.Abort { cycle = t; label = label j; retries = retries_.(j); reason });
+      emit
+        (Obs_event.Abort
+           { cycle = t; label = label j; retries = retries_.(j);
+             reason = Obs_stats.abort_reasons.(reason) });
     if retries_.(j) > r.retry_limit then give_up j f_gave_up t
     else begin
       (match r.reroute with
@@ -957,6 +976,7 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
         let delay = r.backoff * (1 lsl min (retries_.(j) - 1) 20) in
         attempt_.(j) <- t + delay;
         last_progress_.(j) <- t + delay;
+        if stats_on then st.Obs_stats.st_retries <- st.Obs_stats.st_retries + 1;
         if obs_on then
           emit (Obs_event.Retry { cycle = t; label = label j; resume_at = attempt_.(j) })
       end
@@ -1033,6 +1053,7 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
       |> List.sort (fun ((a : Obs_detect.detection), _) (b, _) ->
              compare a.dk_members b.dk_members)
       |> List.iter (fun ((dk : Obs_detect.detection), members) ->
+             if stats_on then st.Obs_stats.st_detections <- st.Obs_stats.st_detections + 1;
              if obs_on then
                emit
                  (Obs_event.Deadlock_detected
@@ -1043,12 +1064,14 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
              List.iter
                (fun v ->
                  perturbed := true;
+                 if stats_on then st.Obs_stats.st_victims <- st.Obs_stats.st_victims + 1;
                  if obs_on then
                    emit
                      (Obs_event.Victim_aborted
                         { cycle = t; label = v;
                           policy = Obs_detect.victim_policy_string dcfg.Obs_detect.policy });
-                 abort_retry (List.find (fun j -> label j = v) members) r t ~reason:"deadlock")
+                 abort_retry (List.find (fun j -> label j = v) members) r t
+                   ~reason:abort_deadlock)
                dk.dk_victims)
   in
   let cycle = ref 0 in
@@ -1485,6 +1508,8 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
         let j = live.(li) in
         if active j && injected_.(j) = 0 && Fault.dropped_now faults (label j) t then begin
           perturbed := true;
+          (* the "drop-fired" slot of [Obs_stats.fault_kinds] *)
+          if stats_on then st.Obs_stats.st_faults.(1) <- st.Obs_stats.st_faults.(1) + 1;
           if obs_on then
             emit
               (Obs_event.Fault
@@ -1492,7 +1517,7 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
                    label = Some (label j); duration = 0 });
           match config.recovery with
           | None -> give_up j f_dropped t
-          | Some r -> abort_retry j r t ~reason:"drop"
+          | Some r -> abort_retry j r t ~reason:abort_drop
         end
       done;
     (match detect with Some (dcfg, r) -> detect_tick dcfg r t | None -> ());
@@ -1507,7 +1532,7 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
           then last_progress_.(j) <- t
           else if t - last_progress_.(j) >= w then begin
             perturbed := true;
-            abort_retry j r t ~reason:"watchdog"
+            abort_retry j r t ~reason:abort_watchdog
           end
         end
       done);
@@ -1700,12 +1725,18 @@ let run_policy ?(config = default_config) ?probe ?sanitizer ?obs ?stats policy s
     incr cycle
   done;
   let o = match !outcome with Some o -> o | None -> assert false in
-  (if stats_on then
-     match o with
-     | Deadlock d ->
-       let ci = match d.d_class with Global -> 0 | Local -> 1 | Weak -> 2 in
-       st.Obs_stats.st_classes.(ci) <- st.Obs_stats.st_classes.(ci) + 1
-     | All_delivered _ | Cutoff _ | Recovered _ -> ());
+  if stats_on then begin
+    (* slots follow [Obs_stats.outcomes] and [Obs_stats.classes] *)
+    let oi =
+      match o with All_delivered _ -> 0 | Cutoff _ -> 1 | Deadlock _ -> 2 | Recovered _ -> 3
+    in
+    st.Obs_stats.st_outcomes.(oi) <- st.Obs_stats.st_outcomes.(oi) + 1;
+    match o with
+    | Deadlock d ->
+      let ci = match d.d_class with Global -> 0 | Local -> 1 | Weak -> 2 in
+      st.Obs_stats.st_classes.(ci) <- st.Obs_stats.st_classes.(ci) + 1
+    | All_delivered _ | Cutoff _ | Recovered _ -> ()
+  end;
   if obs_on then begin
     let final =
       match o with

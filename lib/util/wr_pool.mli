@@ -36,9 +36,9 @@ val set_observer : (event -> unit) option -> unit
 (** Install (or with [None] remove) a process-wide pool observer.  The
     observer runs on whichever domain claims or cancels, so it must be
     domain-safe.  Observation only: the pool's results are unaffected.
-    Used by [wr_obs] to bridge pool activity onto the event bus; note the
-    event stream is inherently schedule-dependent (claims race), unlike the
-    pool's canonically-reduced results. *)
+    The benchmarks count claims and cancels through it; those counts are
+    inherently schedule-dependent (claims race), unlike the pool's
+    canonically-reduced results. *)
 
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f l] = [List.map f l], computed on up to [domains] domains.

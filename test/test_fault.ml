@@ -352,6 +352,56 @@ let test_adaptive_recovery_terminates () =
       (Format.asprintf "%a" (Engine.pp_outcome topo) o));
   check cb "deterministic" true (run () = out)
 
+(* Fault.parse answers every string with Ok or Error, never an exception:
+   random strings, and valid specs on a mesh, a ring and a figure net
+   mutated by deleting, inserting or replacing characters drawn mostly
+   from the spec syntax (separators, the #VC marker, digits, an
+   out-of-range number). *)
+let parse_specs =
+  List.map
+    (fun topo ->
+      let name c = Topology.channel_name topo c in
+      ( topo,
+        Printf.sprintf "fail:%s#0@3, stall:%s@2+4, drop:m1@0" (name 0) (name 1) ))
+    [
+      (Builders.mesh [ 3; 3 ]).Builders.topo;
+      (Builders.ring 4).Builders.topo;
+      (Paper_nets.figure2 ()).Paper_nets.topo;
+    ]
+
+let spec_gen =
+  QCheck.Gen.(
+    let piece =
+      oneof
+        [
+          map (String.make 1) (oneofl (List.init 24 (fun i -> "#@+:,>-() 0123456789xam*".[i])));
+          return "99999999999999999999";
+          map (String.make 1) printable;
+        ]
+    in
+    let edit s =
+      let n = String.length s in
+      let* i = 0 -- n in
+      let* p = piece in
+      oneofl
+        [
+          String.sub s 0 i ^ p ^ String.sub s i (n - i);
+          (if i < n then String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1) else s);
+          (if i < n then String.sub s 0 i ^ p ^ String.sub s (i + 1) (n - i - 1) else s ^ p);
+        ]
+    in
+    let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+    let* topo, valid = oneofl parse_specs in
+    let* spec =
+      oneof [ (1 -- 4 >>= fun k -> edits k valid); string_size ~gen:printable (0 -- 40) ]
+    in
+    return (topo, spec))
+
+let prop_parse_total =
+  QCheck.Test.make ~name:"parse never raises" ~count:1000
+    (QCheck.make ~print:snd spec_gen)
+    (fun (topo, spec) -> match Fault.parse topo spec with Ok _ | Error _ -> true)
+
 let () =
   Alcotest.run "fault"
     [
@@ -362,6 +412,7 @@ let () =
           Alcotest.test_case "parse round trip" `Quick test_parse_roundtrip;
           Alcotest.test_case "parse mesh channel names" `Quick test_parse_mesh_channel_names;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
+          QCheck_alcotest.to_alcotest ~long:false prop_parse_total;
         ] );
       ( "recovery",
         [

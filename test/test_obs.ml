@@ -4,7 +4,10 @@
      an engine outcome -- the central contract of the event bus, as a QCheck
      property over random schedules on an acyclic mesh and a deadlock-prone
      ring, with and without recovery.
-   - Metrics registry laws and exact Prometheus/JSON rendering.
+   - The event stream as an oracle for the counting plane: folding a
+     recorder's events inside the test gives exactly the counts the kernel
+     wrote into Obs_stats, over the same generators; and the exact text of
+     the Prometheus writer.
    - Golden-file exporters: the figure-1 false-resource-cycle run and the
      figure-2 explorer-witness deadlock replay must reproduce the captured
      wormsim outputs byte-for-byte (the files under test/golden).
@@ -12,8 +15,8 @@
      expanded cycle is a genuine CDG cycle, and classification says
      Theorem-reachable; figure 1 has no knot.
    - Timeline rendering of a recorded event trace (rows, one column per
-     cycle, truncation markers), pool claim coverage, the Obs pool bridge,
-     and exact cancelled-run accounting across domain counts. *)
+     cycle, truncation markers), pool claim coverage, and exact
+     cancelled-run accounting across domain counts. *)
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -65,8 +68,7 @@ let ring5_rt = Ring_routing.clockwise ring5
 
 let observed_run ?config rt sched =
   let sink, _ = Obs.recorder () in
-  let reg = Obs.Metrics.create () in
-  Engine.run ?config ~obs:(Obs.tee [ sink; Obs.metrics_sink reg; Obs.null ]) rt sched
+  Engine.run ?config ~obs:sink rt sched
 
 let prop_sink_purity coords rt name =
   QCheck.Test.make ~name ~count:100 (schedule_gen coords) (fun sched ->
@@ -78,19 +80,20 @@ let prop_sink_purity_mesh =
 let prop_sink_purity_ring =
   prop_sink_purity ring5 ring5_rt "sinks never change outcomes (ring, deadlocks)"
 
+let recovery_config =
+  {
+    Engine.default_config with
+    recovery =
+      Some { Engine.default_recovery with trigger = Engine.Watchdog 8; retry_limit = 2; backoff = 4 };
+  }
+
 let prop_sink_purity_recovery =
   (* recovery exercises the Abort/Retry/Gave_up emission sites too *)
   QCheck.Test.make ~name:"sinks never change outcomes (ring, recovery)" ~count:60
     (schedule_gen ring5)
     (fun sched ->
-      let config =
-        {
-          Engine.default_config with
-          recovery =
-            Some { Engine.default_recovery with trigger = Engine.Watchdog 8; retry_limit = 2; backoff = 4 };
-        }
-      in
-      Engine.run ~config ring5_rt sched = observed_run ~config ring5_rt sched)
+      Engine.run ~config:recovery_config ring5_rt sched
+      = observed_run ~config:recovery_config ring5_rt sched)
 
 (* A Detect trigger reads the kernel's wait tables whether or not a sink is
    attached, so detections, victims and every decision after them must not
@@ -150,45 +153,109 @@ let test_adaptive_sink_purity () =
   check cb "adaptive outcome unchanged under observation" true (plain = observed);
   check cb "adaptive run emitted events" true (events () <> [])
 
-(* ---- metrics registry ---- *)
+(* ---- the event stream as an oracle for the counting plane ---- *)
 
-let test_metrics_basics () =
-  let reg = Obs.Metrics.create () in
-  let c = Obs.Metrics.counter reg ~help:"h" "c_total" in
-  Obs.Metrics.inc c;
-  Obs.Metrics.add c 4;
-  check ci "counter value" 5 (Obs.Metrics.value c);
-  (* re-registration returns the same instrument *)
-  Obs.Metrics.inc (Obs.Metrics.counter reg "c_total");
-  check ci "counter upsert" 6 (Obs.Metrics.value c);
-  let g = Obs.Metrics.gauge reg "g" in
-  Obs.Metrics.set g 7;
-  Obs.Metrics.gauge_add g (-2);
-  check ci "gauge value" 5 (List.assoc "g" (Obs.Metrics.snapshot reg));
-  let h = Obs.Metrics.histogram reg ~buckets:[ 1; 10 ] "h" in
-  List.iter (Obs.Metrics.observe h) [ 0; 1; 5; 100 ];
-  let snap = Obs.Metrics.snapshot reg in
-  check ci "histogram count" 4 (List.assoc "h_count" snap);
-  check ci "histogram sum" 106 (List.assoc "h_sum" snap);
-  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
-  check cb "kind clash rejected" true (raises (fun () -> Obs.Metrics.gauge reg "c_total"));
-  check cb "negative counter add rejected" true (raises (fun () -> Obs.Metrics.add c (-1)));
-  check cb "bad metric name rejected" true
-    (raises (fun () -> Obs.Metrics.counter reg "bad name"));
-  check cb "unsorted buckets rejected" true
-    (raises (fun () -> Obs.Metrics.histogram reg ~buckets:[ 10; 1 ] "h2"));
-  check cb "bucket redefinition rejected" true
-    (raises (fun () -> Obs.Metrics.histogram reg ~buckets:[ 1; 2 ] "h"))
+(* The purity generators' five cases, the recovery one with a fault plan
+   on top (a source drop of m0 and a stall) and recovery on or off, so
+   drops, stalls, drop aborts and abandoned messages all occur. *)
+let adaptive_mesh3 = Adaptive.fully_adaptive_minimal mesh3
 
-let small_registry () =
-  let reg = Obs.Metrics.create () in
-  let a = Obs.Metrics.counter reg ~help:"Requests" ~labels:[ ("kind", "a") ] "req_total" in
-  Obs.Metrics.inc a;
-  ignore (Obs.Metrics.counter reg ~labels:[ ("kind", "b") ] "req_total");
-  let h = Obs.Metrics.histogram reg ~help:"Latency" ~buckets:[ 1; 2 ] "lat" in
-  Obs.Metrics.observe h 1;
-  Obs.Metrics.observe h 3;
-  reg
+let fault_config =
+  QCheck.Gen.(
+    let* drop_at = 0 -- 3 in
+    let* channel = 0 -- 4 in
+    let* at = 0 -- 5 in
+    let* duration = 1 -- 4 in
+    let* recovery = oneofl [ None; recovery_config.recovery ] in
+    return
+      {
+        recovery_config with
+        recovery;
+        faults =
+          Fault.make
+            [
+              Fault.Message_drop { label = "m0"; at = drop_at };
+              Fault.Transient_stall { channel; at; duration };
+            ];
+      })
+
+let oracle_case =
+  let sched coords = QCheck.gen (schedule_gen coords) in
+  let oblivious rt config s ~obs ~stats = ignore (Engine.run ~config ~obs ~stats rt s) in
+  QCheck.make
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun s -> (mesh3, oblivious mesh3_rt Engine.default_config s)) (sched mesh3);
+          map (fun s -> (ring5, oblivious ring5_rt Engine.default_config s)) (sched ring5);
+          map2 (fun c s -> (ring5, oblivious ring5_rt c s)) fault_config (sched ring5);
+          map (fun s -> (ring5, oblivious ring5_rt detect_config s)) (sched ring5);
+          map
+            (fun s ->
+              ( mesh3,
+                fun ~obs ~stats ->
+                  ignore (Engine.run_adaptive ~config:detect_config ~obs ~stats adaptive_mesh3 s)
+              ))
+            (sched mesh3);
+        ])
+
+(* Fold one run's events into a fresh accumulator, field by field, with
+   the bucketing and slot lookups written out here rather than taken from
+   the kernel. *)
+let fold_events ~nchan events =
+  let o = Obs_stats.create ~nchan in
+  let slot labels l =
+    let rec go i = if labels.(i) = l then i else go (i + 1) in
+    go 0
+  in
+  let bump a i = a.(i) <- a.(i) + 1 in
+  List.iter
+    (fun (e : Obs.Event.t) ->
+      match e with
+      | Run_start _ -> o.st_runs <- o.st_runs + 1
+      | Run_end { outcome; _ } -> bump o.st_outcomes (slot Obs_stats.outcomes outcome)
+      | Channel_acquire { channel; _ } -> bump o.st_acquired channel
+      | Delivered { latency; _ } ->
+        o.st_delivered <- o.st_delivered + 1;
+        o.st_lat_sum <- o.st_lat_sum + latency;
+        let bounds = Obs_stats.lat_bounds in
+        let rec bucket i =
+          if i = Array.length bounds || latency <= bounds.(i) then i else bucket (i + 1)
+        in
+        bump o.st_lat_counts (bucket 0)
+      | Abort { reason; _ } -> bump o.st_aborts (slot Obs_stats.abort_reasons reason)
+      | Retry _ -> o.st_retries <- o.st_retries + 1
+      | Gave_up _ -> o.st_gave_up <- o.st_gave_up + 1
+      | Deadlock_detected _ -> o.st_detections <- o.st_detections + 1
+      | Victim_aborted _ -> o.st_victims <- o.st_victims + 1
+      | Fault { kind; _ } ->
+        bump o.st_faults (slot Obs_stats.fault_kinds (Obs.Event.fault_kind_string kind))
+      | _ -> ())
+    events;
+  o
+
+let prop_event_fold =
+  QCheck.Test.make ~name:"event fold" ~count:200 oracle_case (fun (coords, run) ->
+      let nchan = Topology.num_channels coords.Builders.topo in
+      let sink, events = Obs.recorder () in
+      let st = Obs_stats.create ~nchan in
+      run ~obs:sink ~stats:st;
+      let o = fold_events ~nchan (events ()) in
+      let same what a b =
+        a = b || QCheck.Test.fail_reportf "%s: stats and event fold differ" what
+      in
+      same "runs" st.st_runs o.st_runs
+      && same "outcome" st.st_outcomes o.st_outcomes
+      && same "acquisitions per channel" st.st_acquired o.st_acquired
+      && same "deliveries" st.st_delivered o.st_delivered
+      && same "latency histogram" st.st_lat_counts o.st_lat_counts
+      && same "latency sum" st.st_lat_sum o.st_lat_sum
+      && same "aborts by reason" st.st_aborts o.st_aborts
+      && same "retries" st.st_retries o.st_retries
+      && same "gave up" st.st_gave_up o.st_gave_up
+      && same "detections" st.st_detections o.st_detections
+      && same "victims" st.st_victims o.st_victims
+      && same "faults by kind" st.st_faults o.st_faults)
 
 let test_prometheus_rendering () =
   check cs "prometheus text"
@@ -201,62 +268,24 @@ let test_prometheus_rendering () =
      lat_count 2\n\
      # HELP req_total Requests\n\
      # TYPE req_total counter\n\
-     req_total{kind=\"a\"} 1\n\
-     req_total{kind=\"b\"} 0\n"
-    (Obs.Metrics.to_prometheus (small_registry ()))
-
-let test_json_rendering () =
-  check cs "metrics json"
-    "{\"schema\":\"wormhole-metrics/1\",\"metrics\":[\
-     {\"name\":\"lat\",\"kind\":\"histogram\",\"labels\":{},\
-     \"buckets\":[{\"le\":1,\"count\":1},{\"le\":2,\"count\":0}],\
-     \"overflow\":1,\"sum\":4,\"count\":2},\
-     {\"name\":\"req_total\",\"kind\":\"counter\",\"labels\":{\"kind\":\"a\"},\"value\":1},\
-     {\"name\":\"req_total\",\"kind\":\"counter\",\"labels\":{\"kind\":\"b\"},\"value\":0}]}"
-    (Obs.Metrics.to_json (small_registry ()))
-
-let test_metrics_sink_fold () =
-  let reg = Obs.Metrics.create () in
-  let sink = Obs.metrics_sink reg in
-  List.iter sink.Obs.emit
-    [
-      Obs.Event.Run_start { engine = "oblivious"; algorithm = "x"; messages = 2 };
-      Obs.Event.Channel_acquire { cycle = 1; label = "m"; channel = 0; waited = 0 };
-      Obs.Event.Wait_add { cycle = 1; label = "m"; channel = 1; holder = None };
-      Obs.Event.Channel_acquire { cycle = 2; label = "m"; channel = 1; waited = 3 };
-      Obs.Event.Flit { cycle = 2; label = "m"; channel = 1; kind = Obs.Event.Hop };
-      Obs.Event.Delivered { cycle = 5; label = "m"; latency = 5 };
-      Obs.Event.Task_claim { pool = "wr_pool"; first = 0; last = 4 };
-      Obs.Event.Search_end { algorithm = "x"; runs = 7; cancelled = 2; witness = true };
-      Obs.Event.Run_end { cycle = 5; outcome = "all-delivered" };
-    ];
-  let snap = Obs.Metrics.snapshot reg in
-  let v k =
-    match List.assoc_opt k snap with
-    | Some v -> v
-    | None -> Alcotest.fail ("missing metric " ^ k)
-  in
-  check ci "runs" 1 (v "wormhole_runs_total");
-  check ci "outcome" 1 (v "wormhole_run_outcomes_total{outcome=\"all-delivered\"}");
-  check ci "acquisitions" 2 (v "wormhole_channel_acquisitions_total");
-  check ci "wait edges" 1 (v "wormhole_wait_edges_total");
-  check ci "wait histogram counts only real waits" 1 (v "wormhole_wait_cycles_count");
-  check ci "wait histogram sum" 3 (v "wormhole_wait_cycles_sum");
-  check ci "hop flits" 1 (v "wormhole_flits_total{kind=\"hop\"}");
-  check ci "inject flits stay zero" 0 (v "wormhole_flits_total{kind=\"inject\"}");
-  check ci "delivered" 1 (v "wormhole_messages_delivered_total");
-  check ci "latency sum" 5 (v "wormhole_message_latency_cycles_sum");
-  check ci "run cycles sum" 5 (v "wormhole_run_cycles_sum");
-  check ci "pool claims" 1 (v "wormhole_pool_task_claims_total");
-  check ci "pool tasks" 5 (v "wormhole_pool_tasks_claimed_total");
-  check ci "search runs" 7 (v "wormhole_search_runs_total");
-  check ci "search cancelled" 2 (v "wormhole_search_cancelled_total")
+     req_total{kind=\"a\",node=\"n(0,\\\"1\\\")\"} 1\n\
+     req_total{kind=\"b\"} 0\n\
+     # HELP up Up\n\
+     # TYPE up gauge\n\
+     up 1\n"
+    (Obs_prom.render
+       [
+         Obs_prom.histogram ~help:"Latency" "lat" ~bounds:[| 1; 2 |] ~counts:[| 1; 0; 1 |] ~sum:4;
+         Obs_prom.counter ~help:"Requests" "req_total"
+           [ ([ ("kind", "a"); ("node", "n(0,\"1\")") ], 1); ([ ("kind", "b") ], 0) ];
+         Obs_prom.gauge ~help:"Up" "up" [ ([], 1) ];
+       ])
 
 (* ---- golden exporters: figure 1 (false resource cycle, delivers) ---- *)
 
 (* Mirrors wormsim's paper-net branch exactly: default --length 4 intent
-   schedule, buffer 1, no faults or recovery, recorder teed with a metrics
-   fold. *)
+   schedule, buffer 1, no faults or recovery, a recorder and a stats
+   accumulator. *)
 let fig1 =
   lazy
     (let net = Paper_nets.figure1 () in
@@ -267,12 +296,12 @@ let fig1 =
          net.Paper_nets.intents
      in
      let sink, events = Obs.recorder () in
-     let reg = Obs.Metrics.create () in
+     let st = Obs_stats.create ~nchan:(Topology.num_channels net.Paper_nets.topo) in
      let config =
        { Engine.default_config with buffer_capacity = 1; faults = Fault.empty; recovery = None }
      in
-     let out = Engine.run ~config ~obs:(Obs.tee [ sink; Obs.metrics_sink reg ]) rt sched in
-     (net, rt, out, events (), reg))
+     let out = Engine.run ~config ~obs:sink ~stats:st rt sched in
+     (net, rt, out, events (), st))
 
 let test_figure1_delivers () =
   let _, _, out, events, _ = Lazy.force fig1 in
@@ -288,10 +317,10 @@ let test_figure1_chrome_golden () =
     (Obs.Chrome.to_json ~topo:net.Paper_nets.topo events)
 
 let test_figure1_metrics_golden () =
-  let _, _, _, _, reg = Lazy.force fig1 in
-  check cs "prometheus matches wormsim --metrics-out"
-    (read_file "golden/figure1.metrics.prom")
-    (Obs.Metrics.to_prometheus reg)
+  let net, _, _, _, st = Lazy.force fig1 in
+  check cs "prometheus matches wormsim --stats-out"
+    (read_file "golden/figure1.stats.prom")
+    (Obs_stats.to_prometheus ~topo:net.Paper_nets.topo st)
 
 let test_figure1_postmortem_no_knot () =
   let _, rt, _, events, _ = Lazy.force fig1 in
@@ -320,32 +349,21 @@ let fig2 =
      | Explorer.No_deadlock _ -> Alcotest.fail "figure2: expected a deadlock witness"
      | Explorer.Deadlock_found { witness = w; _ } ->
        let sink, events = Obs.recorder () in
-       let reg = Obs.Metrics.create () in
-       let out =
-         Engine.run ~config:w.Explorer.w_config
-           ~obs:(Obs.tee [ sink; Obs.metrics_sink reg ])
-           rt w.Explorer.w_schedule
-       in
-       (net, rt, out, events (), reg))
+       let out = Engine.run ~config:w.Explorer.w_config ~obs:sink rt w.Explorer.w_schedule in
+       (net, rt, out, events ()))
 
 let test_figure2_witness_deadlocks () =
-  let _, _, out, _, _ = Lazy.force fig2 in
+  let _, _, out, _ = Lazy.force fig2 in
   check cb "witness replay deadlocks" true (Engine.is_deadlock out)
 
 let test_figure2_chrome_golden () =
-  let net, _, _, events, _ = Lazy.force fig2 in
+  let net, _, _, events = Lazy.force fig2 in
   check cs "chrome trace matches wormsim --witness --trace-out"
     (read_file "golden/figure2.trace.json")
     (Obs.Chrome.to_json ~topo:net.Paper_nets.topo events)
 
-let test_figure2_metrics_golden () =
-  let _, _, _, _, reg = Lazy.force fig2 in
-  check cs "prometheus matches wormsim --witness --metrics-out"
-    (read_file "golden/figure2.metrics.prom")
-    (Obs.Metrics.to_prometheus reg)
-
 let test_figure2_postmortem () =
-  let net, rt, _, events, _ = Lazy.force fig2 in
+  let net, rt, _, events = Lazy.force fig2 in
   let pm = Obs.Postmortem.analyze ~rt events in
   check cb "knot found" true (pm.Obs.Postmortem.pm_knot <> []);
   let cycle = Obs.Postmortem.knot_channels pm in
@@ -439,23 +457,6 @@ let test_pool_claims_cover_tasks () =
       check cb "claims cover every task exactly once" true
         (Array.for_all (fun n -> n = 1) covered))
 
-let test_pool_bridge () =
-  let sink, events = Obs.recorder () in
-  Obs.install sink;
-  Obs.attach_pool ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.detach_pool ();
-      Obs.uninstall ())
-    (fun () -> ignore (Wr_pool.map ~domains:2 (fun x -> x * 2) (List.init 12 Fun.id)));
-  let claimed =
-    List.fold_left
-      (fun acc e ->
-        match e with Obs.Event.Task_claim { first; last; _ } -> acc + (last - first + 1) | _ -> acc)
-      0 (events ())
-  in
-  check ci "bridge forwards every claimed task" 12 claimed
-
 (* ---- search events and exact cancelled accounting ---- *)
 
 let fig2_space () =
@@ -524,10 +525,8 @@ let () =
         ] );
       ( "metrics",
         [
-          Alcotest.test_case "registry laws" `Quick test_metrics_basics;
           Alcotest.test_case "prometheus rendering" `Quick test_prometheus_rendering;
-          Alcotest.test_case "json rendering" `Quick test_json_rendering;
-          Alcotest.test_case "event fold" `Quick test_metrics_sink_fold;
+          qtest prop_event_fold;
         ] );
       ( "golden-figure1",
         [
@@ -540,7 +539,6 @@ let () =
         [
           Alcotest.test_case "witness deadlocks" `Quick test_figure2_witness_deadlocks;
           Alcotest.test_case "chrome trace" `Quick test_figure2_chrome_golden;
-          Alcotest.test_case "prometheus" `Quick test_figure2_metrics_golden;
           Alcotest.test_case "post-mortem: knot + theorem" `Quick test_figure2_postmortem;
         ] );
       ( "trace",
@@ -552,7 +550,6 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "claims cover tasks" `Quick test_pool_claims_cover_tasks;
-          Alcotest.test_case "event-bus bridge" `Quick test_pool_bridge;
         ] );
       ( "search",
         [
